@@ -1,27 +1,24 @@
-(* SMT scaling benchmark: component-decomposed parallel separation solving
-   against the monolithic whole-problem search, on per-moment crosstalk
-   constraint problems drawn from large meshes.
+(* SMT scaling benchmark: the compiler's separation search,
+   [Smt.find_max_delta], on per-moment crosstalk constraint problems drawn
+   from large meshes.
 
    Each "moment" activates a random subset of a topology's couplings (one
    variable per active coupling, bounds [0, 1]) and constrains every
    crosstalk-adjacent active pair by |x_i - x_j| >= delta — the coupling-level
-   frequency-allocation problem a scheduling cycle induces.  Four solvers run
+   frequency-allocation problem a scheduling cycle induces.  Sparse
+   activations split into many independent components, which the unordered
+   [Smt.solve] behind every bisection probe solves one by one.  Two legs run
    on the identical problems:
 
-   - monolithic: binary search over [Smt.solve_monolithic] (the
-     pre-decomposition whole-problem backtracking search, single-threaded);
-   - decomposed: [Smt.find_max_delta_components] at jobs = 1 and jobs = N —
-     results must be byte-identical (the determinism contract);
-   - warm restart: the decomposed solver re-seeded with its own witness
-     ([find_max_delta_components ~warm], the compiler's consecutive-moment
-     seed) — components whose local maximum equals the seed's margin skip
-     their entire binary search;
-   - ordering portfolio: [Smt.find_max_delta_portfolio] racing
-     degree-descending, index-ascending and witness-sorted sweep orders.
+   - cold: [Smt.find_max_delta] from scratch;
+   - warm restart: the same search re-seeded with the cold witness
+     ([find_max_delta ~warm], the compiler's consecutive-moment seed), which
+     opens the bisection at the seed's margin instead of at delta = 0.
 
-   A final section replays each moment's components through
-   [Freq_alloc.interaction] (color-level problems, sizes capped at the mesh
-   color bound) and reports the solver memo-cache hit rate.
+   Both witnesses are re-verified.  A final section replays each moment's
+   components through [Freq_alloc.interaction] (color-level problems, sizes
+   capped at the mesh color bound) and reports the solver memo-cache hit
+   rate.
 
    Emits BENCH_smt_scale.json.  Env knobs (the `make bench-smt-scale` smoke
    run shrinks them):
@@ -76,41 +73,9 @@ let time f =
 
 let tolerance = 1e-4
 
-(* The baseline: [Smt.find_max_delta]'s exact bisection (zero probe, top
-   probe, halving to tolerance) but every probe is the monolithic
-   whole-problem search — what the solver did before decomposition. *)
-let monolithic_max_delta t =
-  let probes = ref 0 in
-  let probe delta =
-    incr probes;
-    Smt.solve_monolithic t ~delta
-  in
-  let result =
-    match probe 0.0 with
-    | None -> None
-    | Some w0 ->
-      let best = ref (0.0, w0) in
-      let lo = ref 0.0 and hi = ref 1.0 in
-      (match probe 1.0 with
-      | Some w ->
-        best := (1.0, w);
-        lo := 1.0
-      | None -> ());
-      while !hi -. !lo > tolerance do
-        let mid = (!lo +. !hi) /. 2.0 in
-        match probe mid with
-        | Some w ->
-          best := (mid, w);
-          lo := mid
-        | None -> hi := mid
-      done;
-      Some !best
-  in
-  (result, !probes)
-
 (* One moment: a seeded random activation of the couplings, lowered to a
-   separation problem over the active vertices.  Returns the problem, the
-   count of variables, and the degree-descending sweep order. *)
+   separation problem over the active vertices.  Returns the problem and
+   its count of variables. *)
 let moment_problem xg rng ~density =
   let cg = xg.Crosstalk_graph.graph in
   let active =
@@ -120,21 +85,11 @@ let moment_problem xg rng ~density =
   let local = Array.make (Graph.n_vertices cg) (-1) in
   List.iteri (fun i v -> local.(v) <- i) active;
   let t = Smt.create n in
-  let deg = Array.make n 0 in
   Graph.iter_edges
     (fun u v ->
-      if local.(u) >= 0 && local.(v) >= 0 then begin
-        Smt.add_separation t local.(u) local.(v);
-        deg.(local.(u)) <- deg.(local.(u)) + 1;
-        deg.(local.(v)) <- deg.(local.(v)) + 1
-      end)
+      if local.(u) >= 0 && local.(v) >= 0 then Smt.add_separation t local.(u) local.(v))
     cg;
-  let order =
-    List.sort
-      (fun a b -> match compare deg.(b) deg.(a) with 0 -> compare a b | c -> c)
-      (List.init n Fun.id)
-  in
-  (t, n, order)
+  (t, n)
 
 type size_report = {
   size : int;
@@ -145,18 +100,11 @@ type size_report = {
   vars : int;
   components : int;
   component_max : int;
-  mono_s : float;
-  mono_probes : int;
-  mono_delta_mean : float;
-  dec1_s : float;
-  decn_s : float;
-  dec_solves : int;
-  dec_delta_mean : float;
-  identical : bool;
+  cold_s : float;
+  solves : int;
+  delta_mean : float;
   verified : bool;
   warm_s : float;
-  portfolio_s : float;
-  winners : string;
   cache_solves : int;
   cache_hits : int;
   cache_hit_rate : float;
@@ -168,74 +116,41 @@ let run_size ~name ~moments ~density size =
   let xg = Crosstalk_graph.build ~distance:1 graph in
   let couplings = Graph.n_vertices xg.Crosstalk_graph.graph in
   let articulation = List.length (Graph.articulation_points xg.Crosstalk_graph.graph) in
-  let jobs = Pool.default_jobs () in
   let rng = Rng.create (2020 + size) in
   let measured = ref 0 in
   let vars = ref 0 in
   let components = ref 0 in
   let component_max = ref 0 in
   let comp_sizes = ref [] in
-  let mono_s = ref 0.0 and mono_probes = ref 0 and mono_delta = ref 0.0 in
-  let dec1_s = ref 0.0 and decn_s = ref 0.0 and dec_solves = ref 0 in
-  let dec_delta = ref 0.0 in
-  let identical = ref true and verified = ref true in
+  let cold_s = ref 0.0 and solves = ref 0 and delta_sum = ref 0.0 in
+  let verified = ref true in
   let warm_s = ref 0.0 in
-  let portfolio_s = ref 0.0 in
-  let winner_tally = Array.make 3 0 in
   for _ = 1 to moments do
-    let t, n, order = moment_problem xg rng ~density in
+    let t, n = moment_problem xg rng ~density in
     if n > 0 then begin
       incr measured;
       vars := !vars + n;
-      (* monolithic single-threaded baseline *)
-      let (mono, probes), dt = time (fun () -> monolithic_max_delta t) in
-      mono_s := !mono_s +. dt;
-      mono_probes := !mono_probes + probes;
-      let mono_delta_m, mono_w = Option.get mono in
-      mono_delta := !mono_delta +. mono_delta_m;
-      verified := !verified && Smt.verify t ~delta:mono_delta_m mono_w;
-      (* decomposed, jobs = 1 then jobs = N: must agree bit for bit *)
-      let r1, dt1 = time (fun () -> Smt.find_max_delta_components ~jobs:1 t) in
-      dec1_s := !dec1_s +. dt1;
-      let before = Smt.find_max_delta_count () in
-      let rn, dtn = time (fun () -> Smt.find_max_delta_components ~jobs t) in
-      decn_s := !decn_s +. dtn;
-      dec_solves := !dec_solves + (Smt.find_max_delta_count () - before);
-      let (d1, w1), _ = Option.get r1 in
-      let (dn, wn), infos = Option.get rn in
-      identical := !identical && d1 = dn && w1 = wn;
-      verified := !verified && Smt.verify t ~delta:dn wn;
-      dec_delta := !dec_delta +. dn;
       List.iter
-        (fun (info : Smt.component_solution) ->
-          let k = List.length info.Smt.members in
+        (fun comp ->
+          let k = List.length comp in
           incr components;
           if k > !component_max then component_max := k;
           comp_sizes := k :: !comp_sizes)
-        infos;
-      (* warm restart: the decomposed solver re-seeded with its own witness
-         (cold reference time is the jobs = N decomposed leg above) *)
-      let warm, dtw = time (fun () -> Smt.find_max_delta_components ~jobs ~warm:wn t) in
+        (Smt.component_partition t);
+      let before = Smt.find_max_delta_count () in
+      let cold, dt = time (fun () -> Smt.find_max_delta t) in
+      cold_s := !cold_s +. dt;
+      solves := !solves + (Smt.find_max_delta_count () - before);
+      let d, w = Option.get cold in
+      verified := !verified && Smt.verify t ~delta:d w;
+      delta_sum := !delta_sum +. d;
+      (* warm restart: the same search re-seeded with its own witness *)
+      let warm, dtw = time (fun () -> Smt.find_max_delta ~warm:w t) in
       warm_s := !warm_s +. dtw;
-      let (dw, ww), _ = Option.get warm in
+      let dw, ww = Option.get warm in
       verified := !verified && Smt.verify t ~delta:dw ww;
       (* a warm result can trail or lead the cold one only within tolerance *)
-      verified := !verified && Float.abs (dw -. dn) <= 2.0 *. tolerance;
-      (* ordering portfolio: degree-descending, index, witness-sorted *)
-      let by_witness =
-        List.sort
-          (fun a b ->
-            match compare wn.(a) wn.(b) with 0 -> compare a b | c -> c)
-          (List.init n Fun.id)
-      in
-      let orders = [ order; List.init n Fun.id; by_witness ] in
-      let pf, dtp = time (fun () -> Smt.find_max_delta_portfolio ~jobs ~orders t) in
-      portfolio_s := !portfolio_s +. dtp;
-      match pf with
-      | Some (winner, (dp, wp)) ->
-        winner_tally.(winner) <- winner_tally.(winner) + 1;
-        verified := !verified && Smt.verify t ~delta:dp wp
-      | None -> verified := false
+      verified := !verified && Float.abs (dw -. d) <= 2.0 *. tolerance
     end
   done;
   (* cache section: each component as a color-level Freq_alloc problem *)
@@ -252,7 +167,6 @@ let run_size ~name ~moments ~density size =
     (List.rev !comp_sizes);
   let cache = Freq_alloc.solver_cache_stats () in
   let cache_solves = cache.Freq_alloc.hits + cache.Freq_alloc.misses in
-  let m = float_of_int (max 1 !measured) in
   {
     size;
     qubits = Graph.n_vertices graph;
@@ -262,24 +176,11 @@ let run_size ~name ~moments ~density size =
     vars = !vars;
     components = !components;
     component_max = !component_max;
-    mono_s = !mono_s;
-    mono_probes = !mono_probes;
-    mono_delta_mean = !mono_delta /. m;
-    dec1_s = !dec1_s;
-    decn_s = !decn_s;
-    dec_solves = !dec_solves;
-    dec_delta_mean = !dec_delta /. m;
-    identical = !identical;
+    cold_s = !cold_s;
+    solves = !solves;
+    delta_mean = !delta_sum /. float_of_int (max 1 !measured);
     verified = !verified;
     warm_s = !warm_s;
-    portfolio_s = !portfolio_s;
-    winners =
-      String.concat " "
-        (List.filteri
-           (fun _ s -> s <> "")
-           (List.mapi
-              (fun i c -> if c = 0 then "" else Printf.sprintf "%d:%d" i c)
-              (Array.to_list winner_tally)));
     cache_solves;
     cache_hits = cache.Freq_alloc.hits;
     cache_hit_rate =
@@ -288,7 +189,7 @@ let run_size ~name ~moments ~density size =
   }
 
 let run () =
-  Exp_common.heading "SMT scaling: decomposed parallel vs monolithic separation solving";
+  Exp_common.heading "SMT scaling: decomposed separation solving on mesh moments";
   let sizes = env_sizes () in
   let moments = env_int "FASTSC_SMT_MOMENTS" 2 in
   let density = float_of_int (env_int "FASTSC_SMT_DENSITY" 6) /. 100.0 in
@@ -300,7 +201,8 @@ let run () =
   let reports = List.map (fun size -> run_size ~name ~moments ~density size) sizes in
 
   let t = Tablefmt.create
-      [ "size"; "vars"; "comps"; "max"; "artic"; "mono ms"; "dec j1 ms"; "dec jN ms"; "speedup" ]
+      [ "size"; "vars"; "comps"; "max"; "artic"; "cold ms"; "warm ms"; "warm speedup";
+        "cache hit rate" ]
   in
   List.iter
     (fun r ->
@@ -311,36 +213,17 @@ let run () =
           Tablefmt.cell_int r.components;
           Tablefmt.cell_int r.component_max;
           Tablefmt.cell_int r.articulation;
-          Tablefmt.cell_float ~digits:2 (ms r.mono_s);
-          Tablefmt.cell_float ~digits:2 (ms r.dec1_s);
-          Tablefmt.cell_float ~digits:2 (ms r.decn_s);
-          Printf.sprintf "%.1fx" (ratio r.mono_s r.decn_s);
-        ])
-    reports;
-  Tablefmt.print t;
-
-  let t = Tablefmt.create
-      [ "size"; "warm ms"; "warm speedup"; "portfolio ms"; "winners"; "cache hit rate" ]
-  in
-  List.iter
-    (fun r ->
-      Tablefmt.add_row t
-        [
-          Printf.sprintf "%dx%d" r.size r.size;
+          Tablefmt.cell_float ~digits:2 (ms r.cold_s);
           Tablefmt.cell_float ~digits:2 (ms r.warm_s);
-          Printf.sprintf "%.1fx" (ratio r.decn_s r.warm_s);
-          Tablefmt.cell_float ~digits:2 (ms r.portfolio_s);
-          r.winners;
+          Printf.sprintf "%.1fx" (ratio r.cold_s r.warm_s);
           Printf.sprintf "%.2f" r.cache_hit_rate;
         ])
     reports;
   Tablefmt.print t;
   List.iter
     (fun r ->
-      Printf.printf
-        "%dx%d: %d moments, mono %d probes (mean delta %.4f), dec %d solves (mean delta %.4f), identical=%b verified=%b\n"
-        r.size r.size r.moments r.mono_probes r.mono_delta_mean r.dec_solves r.dec_delta_mean
-        r.identical r.verified)
+      Printf.printf "%dx%d: %d moments, %d solves (mean delta %.4f), verified=%b\n" r.size
+        r.size r.moments r.solves r.delta_mean r.verified)
     reports;
 
   let doc =
@@ -366,35 +249,19 @@ let run () =
                      ("vars", Json.Int r.vars);
                      ("components", Json.Int r.components);
                      ("component_max", Json.Int r.component_max);
-                     ( "monolithic",
-                       Json.Obj
-                         [
-                           ("ms", Json.Float (ms r.mono_s));
-                           ("probes", Json.Int r.mono_probes);
-                           ("delta_mean", Json.Float r.mono_delta_mean);
-                         ] );
                      ( "decomposed",
                        Json.Obj
                          [
-                           ("ms_jobs1", Json.Float (ms r.dec1_s));
-                           ("ms_jobsn", Json.Float (ms r.decn_s));
-                           ("solves", Json.Int r.dec_solves);
-                           ("delta_mean", Json.Float r.dec_delta_mean);
-                           ("speedup_vs_monolithic", Json.Float (ratio r.mono_s r.decn_s));
+                           ("ms_jobs1", Json.Float (ms r.cold_s));
+                           ("solves", Json.Int r.solves);
+                           ("delta_mean", Json.Float r.delta_mean);
                          ] );
-                     ("identical_any_jobs", Json.Bool r.identical);
                      ("witnesses_verified", Json.Bool r.verified);
                      ( "warm",
                        Json.Obj
                          [
                            ("warm_ms", Json.Float (ms r.warm_s));
-                           ("speedup_vs_cold", Json.Float (ratio r.decn_s r.warm_s));
-                         ] );
-                     ( "portfolio",
-                       Json.Obj
-                         [
-                           ("ms", Json.Float (ms r.portfolio_s));
-                           ("winners", Json.String r.winners);
+                           ("speedup_vs_cold", Json.Float (ratio r.cold_s r.warm_s));
                          ] );
                      ( "cache",
                        Json.Obj

@@ -126,8 +126,8 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
         multiplicity.(c) <- multiplicity.(c) + 1)
       survivors;
     (* Independent regions of the moment: bookkeeping always (the trace
-       reports decomposability even when allocation stays global), allocation
-       fan-out only under [decompose]. *)
+       reports decomposability even when allocation stays global),
+       per-component allocation only under [decompose]. *)
     let comps = Crosstalk_graph.components_of_active xg survivors in
     List.iter
       (fun comp ->
@@ -143,10 +143,11 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
       else if decompose && List.length comps > 1 then begin
         (* Per-component allocation: each component's color set is remapped
            dense (ascending) and solved as its own small complete-graph
-           problem — a pool task whose memo key is the component's color
-           count and order, so recurring fragments hit the cache.  Results
-           merge in component order; Pool.map stores by index, so the merged
-           frequencies are byte-identical at any job count. *)
+           problem, whose memo key is the component's color count and order,
+           so recurring fragments hit the cache.  The solves run serially on
+           this domain, in component order, under the caller's ambient
+           deadline: components are tiny (mostly one or two couplings), so a
+           pool fan-out costs more than it saves. *)
         let cells =
           List.map
             (fun comp ->
@@ -165,7 +166,7 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
             comps
         in
         let assignments =
-          Pool.map
+          List.map
             (fun (_, _, mult) ->
               Freq_alloc.interaction device ~n_colors:(Array.length mult)
                 ~multiplicity:mult)

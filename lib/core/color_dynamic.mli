@@ -53,8 +53,8 @@ val run :
     [warm_start] (default false) seeds each moment's frequency solve with
     the previous moment's witness ({!Freq_alloc.interaction}'s [warm]);
     [decompose] (default false) allocates each connected component of the
-    moment's active crosstalk subgraph independently on the domain pool,
-    merged in component order (byte-identical at any job count).  Both
+    moment's active crosstalk subgraph independently, one solve after
+    another on the calling domain, merged in component order.  Both
     default off so the paper-mode output stays bit-identical; component
     counts are tracked in {!stats} either way.
     @raise Invalid_argument if [conflict_threshold < 1] or

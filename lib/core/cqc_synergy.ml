@@ -20,14 +20,14 @@
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): drop the
    conflict-pressure term, reducing SWAP selection to plain depth scoring. *)
-let fault_swap_score = lazy (Fault.enabled "cqc-swap-score")
+let fault_swap_score = Fault.enabled "cqc-swap-score"
 
 let route ?(window = 8) ?(lambda = 0.5) ?(crosstalk_distance = 1) device circuit =
   let graph = Device.graph device in
   let n_physical = Graph.n_vertices graph in
   if Circuit.n_qubits circuit <> n_physical then
     invalid_arg "Cqc_synergy.route: circuit must already be placed onto the device";
-  let lambda = if Lazy.force fault_swap_score then 0.0 else lambda in
+  let lambda = if fault_swap_score then 0.0 else lambda in
   let xg = Crosstalk_graph.build ~distance:crosstalk_distance graph in
   let phys_of_log = Array.init n_physical Fun.id in
   let log_of_phys = Array.init n_physical Fun.id in

@@ -24,9 +24,9 @@ type key = {
 }
 
 (* Seeded faults for the verification harness (docs/DESIGN.md §11). *)
-let fault_stale_reset = lazy (Fault.enabled "freq-cache-stale-reset")
+let fault_stale_reset = Fault.enabled "freq-cache-stale-reset"
 
-let fault_alpha_key = lazy (Fault.enabled "freq-cache-key-alpha")
+let fault_alpha_key = Fault.enabled "freq-cache-key-alpha"
 
 let cache : (key, float * float array) Hashtbl.t = Hashtbl.create 64
 
@@ -62,7 +62,7 @@ let solver_cache_stats () =
 
 let reset_solver_cache () =
   Mutex.lock cache_mutex;
-  if not (Lazy.force fault_stale_reset) then Hashtbl.reset cache;
+  if not fault_stale_reset then Hashtbl.reset cache;
   cache_hits := 0;
   cache_misses := 0;
   warm_hits := 0;
@@ -208,7 +208,7 @@ let solve_separated ?warm ?warm_used ~lo ~hi ~alpha ~order n =
        breaking the any-jobs byte-identity contract. *)
     solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n
   | None ->
-    let k_alpha = if Lazy.force fault_alpha_key then 0.0 else alpha in
+    let k_alpha = if fault_alpha_key then 0.0 else alpha in
     let key = { k_n = n; k_lo = lo; k_hi = hi; k_alpha; k_order = order } in
     Mutex.lock cache_mutex;
     let cached = Hashtbl.find_opt cache key in

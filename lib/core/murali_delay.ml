@@ -17,7 +17,7 @@ open Fastsc_physics
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): flip the
    threshold comparison, so conflicting pairs pack together and distant
    (harmless) pairs serialize. *)
-let fault_threshold = lazy (Fault.enabled "murali-delay-threshold")
+let fault_threshold = Fault.enabled "murali-delay-threshold"
 
 let simultaneous_error ?(worst_case = false) device ~t (a, b) (c, d) =
   let omega_int = Step_builder.interaction_center device in
@@ -39,7 +39,6 @@ let simultaneous_error ?(worst_case = false) device ~t (a, b) (c, d) =
     0.0 [ a; b ]
 
 let pack ?(threshold = 1e-4) ~algorithm device circuit =
-  let flipped = Lazy.force fault_threshold in
   let idle_freqs = Freq_alloc.idle_per_qubit device in
   let omega_int = Step_builder.interaction_center device in
   let pending = Pending.create circuit in
@@ -64,7 +63,7 @@ let pack ?(threshold = 1e-4) ~algorithm device circuit =
                     let err =
                       simultaneous_error device ~t:(Float.max t_gate t_other) (a, b) pair
                     in
-                    if flipped then err >= threshold else err <= threshold)
+                    if fault_threshold then err >= threshold else err <= threshold)
                   !active
               in
               if ok then active := ((a, b), t_gate) :: !active else incr delayed;

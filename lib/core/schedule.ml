@@ -151,7 +151,7 @@ let step_errors ?(worst_case = false) ?(crosstalk_distance = 1) t step =
   (1.0 -. Success.probability gate_acc, 1.0 -. Success.probability xtalk_acc)
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
-let fault_xtalk_drop = lazy (Fault.enabled "sched-xtalk-drop")
+let fault_xtalk_drop = Fault.enabled "sched-xtalk-drop"
 
 let evaluate ?(worst_case = false) ?(crosstalk_distance = 1)
     ?(decoherence = Decoherence.Exponential) ?coherence t =
@@ -159,7 +159,7 @@ let evaluate ?(worst_case = false) ?(crosstalk_distance = 1)
   let xtalk_acc = Success.create () in
   let dec_acc = Success.create () in
   List.iter (accumulate_step t ~worst_case ~crosstalk_distance gate_acc xtalk_acc) t.steps;
-  let xtalk_acc = if Lazy.force fault_xtalk_drop then Success.create () else xtalk_acc in
+  let xtalk_acc = if fault_xtalk_drop then Success.create () else xtalk_acc in
   let duration = total_time t in
   let qubit_coherence =
     match coherence with

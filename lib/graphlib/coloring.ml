@@ -5,7 +5,7 @@ let smallest_free used =
   scan 0
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
-let fault_greedy_clash = lazy (Fastsc_util.Fault.enabled "color-greedy-clash")
+let fault_greedy_clash = Fastsc_util.Fault.enabled "color-greedy-clash"
 
 let greedy ~order g =
   let n = Graph.n_vertices g in
@@ -26,7 +26,7 @@ let greedy ~order g =
           (fun u -> if colors.(u) >= 0 then Some colors.(u) else None)
           (Graph.neighbors g v)
       in
-      colors.(v) <- (if Lazy.force fault_greedy_clash then 0 else smallest_free used))
+      colors.(v) <- (if fault_greedy_clash then 0 else smallest_free used))
     order;
   colors
 

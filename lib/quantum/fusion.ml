@@ -26,7 +26,7 @@ type slot = S1 of int * Fmatrix.t | S2 of int * int * Fmatrix.t
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): the
    end-of-circuit flush treats every pending fused 2x2 as if it were the
    identity, so trailing 1q gate runs vanish from the fused program. *)
-let fault_identity_skip = lazy (Fault.enabled "fusion-identity-skip")
+let fault_identity_skip = Fault.enabled "fusion-identity-skip"
 
 (* Bit-exact identity only: skipping it is a numeric no-op, so the fused
    program stays *exactly* equivalent, not just within tolerance (X·X and
@@ -92,12 +92,11 @@ let plan circuit =
      at them), so it is absorbed into the last 4x4 touching q when one
      exists, else emitted as a lone 2x2 — unless it is the exact identity,
      which is a no-op. *)
-  let skip_all = Lazy.force fault_identity_skip in
   for q = 0 to n - 1 do
     match pending.(q) with
     | None -> ()
     | Some p ->
-      if skip_all || is_exact_identity p then ()
+      if fault_identity_skip || is_exact_identity p then ()
       else if last2.(q) >= 0 then begin
         match out.(last2.(q)) with
         | Some (S2 (a, b, m)) ->

@@ -17,10 +17,11 @@ type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type t = { n : int; re : plane; im : plane }
 
 (* Seeded faults for the verification harness (docs/DESIGN.md §11); resolved
-   once, so the kernels pay one forced-lazy read per call, never per index. *)
-let fault_scatter = lazy (Fault.enabled "sim-scatter-off-by-one")
+   once at module initialisation, so the kernels pay one boolean read per
+   call, never per index. *)
+let fault_scatter = Fault.enabled "sim-scatter-off-by-one"
 
-let fault_operand_swap = lazy (Fault.enabled "sim-operand-swap")
+let fault_operand_swap = Fault.enabled "sim-operand-swap"
 
 (* Shard boundaries are aligned to this many counter values, so a shard cut
    never lands inside a kernel's contiguous inner run for operand bits below
@@ -131,7 +132,7 @@ let apply_entries1 ?jobs t e q =
   let low = mask - 1 in
   let d = dim t in
   let pairs = d lsr 1 in
-  let shift = if Lazy.force fault_scatter then q else q + 1 in
+  let shift = if fault_scatter then q else q + 1 in
   let body lo hi =
     (* Run-structured walk: for all counter values sharing their high bits,
        the scattered index increments by exactly 1, so the scatter is
@@ -173,7 +174,7 @@ let apply_entries2 ?jobs t e q_first q_second =
   let m32r = e.(28) and m32i = e.(29) and m33r = e.(30) and m33i = e.(31) in
   let re = t.re and im = t.im in
   let hi_m, lo_m =
-    if Lazy.force fault_operand_swap then (1 lsl q_second, 1 lsl q_first)
+    if fault_operand_swap then (1 lsl q_second, 1 lsl q_first)
     else (1 lsl q_first, 1 lsl q_second)
   in
   (* Enumerate the indices with both operand bits clear by scattering the

@@ -13,11 +13,11 @@ let epsilon = 1e-9
 (* Seeded faults for the verification harness (docs/DESIGN.md §11): each is a
    deliberate bug, off unless FASTSC_FAULT selects it, that the test suite
    must demonstrably catch. *)
-let fault_resolve_flip = lazy (Fastsc_util.Fault.enabled "smt-resolve-flip")
+let fault_resolve_flip = Fastsc_util.Fault.enabled "smt-resolve-flip"
 
-let fault_sideband_skip = lazy (Fastsc_util.Fault.enabled "smt-sideband-skip")
+let fault_sideband_skip = Fastsc_util.Fault.enabled "smt-sideband-skip"
 
-let fault_deadline_skip = lazy (Fastsc_util.Fault.enabled "smt-deadline-skip")
+let fault_deadline_skip = Fastsc_util.Fault.enabled "smt-deadline-skip"
 
 (* Cooperative cancellation for the serve layer's request budgets: every
    search loop polls the ambient deadline at chunk boundaries (once per
@@ -30,7 +30,7 @@ let fault_deadline_skip = lazy (Fastsc_util.Fault.enabled "smt-deadline-skip")
 let deadline_poll_mask = 255
 
 let deadline_check site =
-  if not (Lazy.force fault_deadline_skip) then Fastsc_util.Deadline.check ~site ()
+  if not fault_deadline_skip then Fastsc_util.Deadline.check ~site ()
 
 let create ?(lo = 0.0) ?(hi = 1.0) n =
   if n < 0 then invalid_arg "Smt.create: negative variable count";
@@ -80,7 +80,7 @@ let blocked_intervals t ~delta placed v =
 
 (* Self-sideband constraints |offset| >= delta do not depend on the values. *)
 let self_constraints_ok t ~delta =
-  Lazy.force fault_sideband_skip
+  fault_sideband_skip
   || List.for_all
        (fun { i; j; offset } -> i <> j || Float.abs offset +. epsilon >= delta)
        t.seps
@@ -102,10 +102,11 @@ let self_constraints_ok t ~delta =
 let resolve_upward intervals ~hi start =
   let value = ref start in
   let bmax = ref neg_infinity in
-  let flipped = Lazy.force fault_resolve_flip in
   List.iter
     (fun (a, b) ->
-      let live = if flipped then b < !bmax -. epsilon else b >= !bmax -. epsilon in
+      let live =
+        if fault_resolve_flip then b < !bmax -. epsilon else b >= !bmax -. epsilon
+      in
       if live then begin
         if !value > a +. epsilon && !value < b -. epsilon then value := b;
         if b > !bmax then bmax := b
@@ -131,30 +132,24 @@ let candidates t ~delta placed v ~floor =
     in
     least :: List.sort_uniq compare (List.filter (fun x -> x > least +. epsilon) ends)
 
-(* [stop] is polled once per search node; when it fires the search abandons
-   the branch and unwinds with "no solution".  Only the portfolio racer sets
-   it — a cancelled task's result is discarded there, so the early [None]
-   never masquerades as a genuine infeasibility. *)
-let solve_ordered ?(stop = fun () -> false) t ~delta order =
+let solve_ordered t ~delta order =
   let placed = Array.make t.n None in
   let nodes = ref 0 in
   let rec place remaining floor =
     incr nodes;
     if !nodes land deadline_poll_mask = 0 then deadline_check "solve_ordered";
-    if stop () then false
-    else
-      match remaining with
-      | [] -> true
-      | v :: rest ->
-        let try_value value =
-          placed.(v) <- Some value;
-          if place rest value then true
-          else begin
-            placed.(v) <- None;
-            false
-          end
-        in
-        List.exists try_value (candidates t ~delta placed v ~floor)
+    match remaining with
+    | [] -> true
+    | v :: rest ->
+      let try_value value =
+        placed.(v) <- Some value;
+        if place rest value then true
+        else begin
+          placed.(v) <- None;
+          false
+        end
+      in
+      List.exists try_value (candidates t ~delta placed v ~floor)
   in
   if place order neg_infinity then
     Some (Array.map (function Some x -> x | None -> nan) placed)
@@ -241,8 +236,6 @@ let violations t ~delta assignment =
 
 let verify t ~delta assignment = violations t ~delta assignment = []
 
-let check = verify
-
 (* Smallest slack of any constraint under [assignment]: the largest delta at
    which the assignment still verifies.  None when the assignment is invalid
    independently of delta (wrong length, NaN, outside bounds).  This is what
@@ -284,8 +277,8 @@ let margin t assignment =
    together; everything else is independent.  Self-sidebands and forbidden
    zones are unary, so they never join components.  Ordering is inherited
    from Graph.components: each component ascending, components by smallest
-   variable — a pure function of the problem, which is what keeps the
-   decomposed solve deterministic at any job count. *)
+   variable — a pure function of the problem, so the decomposed solve merges
+   its witnesses in a fixed order. *)
 let component_partition t =
   let g = Fastsc_graphlib.Graph.create t.n in
   List.iter
@@ -323,123 +316,42 @@ let restrict t comp =
   in
   (sub, globals)
 
-(* Split a global sweep order into per-component local orders: each component
-   keeps the relative order its members had in the global list. *)
-let split_order t order comps =
-  let rank = Array.make t.n 0 in
-  List.iteri (fun k v -> rank.(v) <- k) order;
-  List.map
-    (fun comp ->
-      let local_of = Hashtbl.create (List.length comp) in
-      List.iteri (fun k v -> Hashtbl.replace local_of v k) comp;
-      List.map
-        (fun v -> Hashtbl.find local_of v)
-        (List.sort (fun a b -> compare rank.(a) rank.(b)) comp))
-    comps
-
 let validate_order t order =
   if List.length order <> t.n then
     invalid_arg "Smt.solve: order must list every variable exactly once"
 
-(* Solve one component's subproblem; [sub_order], when given, is already in
-   local variable ids. *)
-let solve_sub ?sub_order sub ~delta =
-  match sub_order with
-  | Some o -> solve_ordered sub ~delta o
-  | None -> if sub.n = 0 then Some [||] else solve_any sub ~delta
-
-let merge_component_witnesses t pieces =
-  let witness = Array.make t.n nan in
-  List.iter
-    (fun (globals, w) -> Array.iteri (fun k v -> witness.(v) <- w.(k)) globals)
-    pieces;
-  witness
-
-(* Monolithic whole-problem search: the pre-decomposition code path, kept as
-   the benchmark baseline and for callers that want the global monotone
-   contract of [~order] (an order spanning components couples them through
-   the shared floor, which per-component solving deliberately does not). *)
-let solve_monolithic ?order t ~delta =
+(* The ordered path searches the whole problem: the global monotone chain of
+   [~order] deliberately spans components, coupling them through the shared
+   floor.  The unordered path decomposes: independent components are solved
+   one by one on their own restricted problems and the witnesses merged in
+   component order.  Single-component problems (every complete-graph
+   allocation the compiler builds) run the whole-problem search directly, so
+   their witnesses are exactly those of the undecomposed solver. *)
+let solve ?order t ~delta =
   if not (self_constraints_ok t ~delta) then None
-  else
+  else begin
     let result =
       match order with
       | Some order ->
         validate_order t order;
         solve_ordered t ~delta order
-      | None -> if t.n = 0 then Some [||] else solve_any t ~delta
-    in
-    match result with
-    | Some assignment ->
-      assert (check t ~delta assignment);
-      Some assignment
-    | None -> None
-
-(* The unordered path decomposes: independent components are solved one by
-   one on their own restricted problems.  Single-component problems (every
-   complete-graph allocation the compiler builds today) dispatch to the
-   exact pre-decomposition search, so existing witnesses are bit-identical.
-   The ordered path stays monolithic — the global monotone contract spans
-   components by design. *)
-let solve ?order t ~delta =
-  match order with
-  | Some _ -> solve_monolithic ?order t ~delta
-  | None ->
-    if not (self_constraints_ok t ~delta) then None
-    else if t.n = 0 then Some [||]
-    else begin
-      let result =
+      | None -> (
         match component_partition t with
         | [] | [ _ ] -> solve_any t ~delta
         | comps ->
-          let rec go acc = function
-            | [] -> Some (merge_component_witnesses t (List.rev acc))
-            | comp :: rest -> (
-              let sub, globals = restrict t comp in
-              match solve_sub sub ~delta with
-              | None -> None
-              | Some w -> go ((globals, w) :: acc) rest)
+          let witness = Array.make t.n nan in
+          let solve_component comp =
+            let sub, globals = restrict t comp in
+            match solve_any sub ~delta with
+            | None -> false
+            | Some w ->
+              Array.iteri (fun k v -> witness.(v) <- w.(k)) globals;
+              true
           in
-          go [] comps
-      in
-      match result with
-      | Some assignment ->
-        assert (check t ~delta assignment);
-        Some assignment
-      | None -> None
-    end
-
-(* Pool-parallel component solve.  Byte-identical to {!solve}: components and
-   their subproblems are pure functions of [t], each cell runs the same
-   search [solve] would run sequentially, and Pool.map stores results by
-   input index — so the merged witness cannot depend on jobs or scheduling.
-   With [~order] each component receives the restriction of the global order
-   (no cross-component floor chaining, unlike monolithic [solve ~order]). *)
-let solve_components ?jobs ?order t ~delta =
-  if not (self_constraints_ok t ~delta) then None
-  else if t.n = 0 then Some [||]
-  else begin
-    Option.iter (validate_order t) order;
-    let comps = component_partition t in
-    let sub_orders =
-      match order with
-      | None -> List.map (fun _ -> None) comps
-      | Some order -> List.map Option.some (split_order t order comps)
+          if List.for_all solve_component comps then Some witness else None)
     in
-    let cells = List.combine comps sub_orders in
-    let pieces =
-      Fastsc_util.Pool.map ?jobs
-        (fun (comp, sub_order) ->
-          let sub, globals = restrict t comp in
-          Option.map (fun w -> (globals, w)) (solve_sub ?sub_order sub ~delta))
-        cells
-    in
-    if List.exists Option.is_none pieces then None
-    else begin
-      let witness = merge_component_witnesses t (List.map Option.get pieces) in
-      assert (check t ~delta witness);
-      Some witness
-    end
+    Option.iter (fun assignment -> assert (verify t ~delta assignment)) result;
+    result
   end
 
 let widest_range t =
@@ -520,138 +432,3 @@ let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
       | None -> hi := mid
     done;
     Some !best
-
-type component_solution = { members : int list; local_delta : float }
-
-(* Per-component binary searches, fanned over the pool.  The merged maximum
-   is the min over components (the binding component caps the global delta),
-   and each per-component witness stays feasible at that smaller value, so
-   the merged witness verifies at the merged delta.  Each component pays its
-   own find_max_delta (own solve_counter tick) — that is the solve count the
-   trace reports.  Deterministic at any job count: components, subproblems
-   and per-component searches are pure functions of [t], and results merge
-   in component index order. *)
-let find_max_delta_components ?jobs ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
-  let delta_hi = match delta_hi with Some d -> d | None -> Float.max tolerance (widest_range t) in
-  Option.iter (validate_order t) order;
-  match component_partition t with
-  | [] ->
-    Option.map
-      (fun (d, w) -> ((d, w), []))
-      (find_max_delta ?order ~tolerance ~delta_hi ?warm t)
-  | [ comp ] ->
-    Option.map
-      (fun (d, w) -> ((d, w), [ { members = comp; local_delta = d } ]))
-      (find_max_delta ?order ~tolerance ~delta_hi ?warm t)
-  | comps ->
-    let sub_orders =
-      match order with
-      | None -> List.map (fun _ -> None) comps
-      | Some order -> List.map Option.some (split_order t order comps)
-    in
-    let cells = List.combine comps sub_orders in
-    let results =
-      (* inherit_ambient: component solves run on worker domains, which have
-         their own ambient deadline state — re-install the caller's so the
-         per-component searches stay cancellable *)
-      Fastsc_util.Pool.map ?jobs
-        (Fastsc_util.Deadline.inherit_ambient (fun (comp, sub_order) ->
-          let sub, globals = restrict t comp in
-          let sub_warm =
-            Option.map (fun w -> Array.map (fun v -> w.(v)) globals) warm
-          in
-          Option.map
-            (fun (d, w) -> (comp, globals, d, w))
-            (find_max_delta ?order:sub_order ~tolerance ~delta_hi ?warm:sub_warm
-               sub)))
-        cells
-    in
-    if List.exists Option.is_none results then None
-    else begin
-      let results = List.map Option.get results in
-      let delta =
-        List.fold_left (fun acc (_, _, d, _) -> Float.min acc d) delta_hi results
-      in
-      let witness =
-        merge_component_witnesses t
-          (List.map (fun (_, globals, _, w) -> (globals, w)) results)
-      in
-      assert (verify t ~delta witness);
-      let infos =
-        List.map
-          (fun (comp, _, d, _) -> { members = comp; local_delta = d })
-          results
-      in
-      Some ((delta, witness), infos)
-    end
-
-(* Ordering portfolio: race candidate sweep orders as pool tasks and keep the
-   lowest-index feasible one.  Task [i] may be cancelled only once some task
-   [j < i] has already succeeded, so every task below the eventual winner
-   always runs to completion — the winner is a pure function of the problem
-   and the portfolio, independent of jobs or scheduling. *)
-let solve_portfolio ?jobs t ~delta ~orders =
-  if orders = [] then invalid_arg "Smt.solve_portfolio: empty portfolio";
-  List.iter (validate_order t) orders;
-  if not (self_constraints_ok t ~delta) then None
-  else begin
-    let winner = Atomic.make max_int in
-    let claim i =
-      let rec spin () =
-        let cur = Atomic.get winner in
-        if i < cur && not (Atomic.compare_and_set winner cur i) then spin ()
-      in
-      spin ()
-    in
-    let attempts =
-      (* same cross-domain deadline bridge as find_max_delta_components *)
-      let run_cell =
-        Fastsc_util.Deadline.inherit_ambient (fun (i, order) ->
-            if Atomic.get winner < i then None
-            else
-              let stop () = Atomic.get winner < i in
-              match solve_ordered ~stop t ~delta order with
-              | Some w ->
-                claim i;
-                Some w
-              | None -> None)
-      in
-      Fastsc_util.Pool.mapi ?jobs (fun i order -> run_cell (i, order)) orders
-    in
-    let rec first i = function
-      | [] -> None
-      | Some w :: _ -> Some (i, w)
-      | None :: rest -> first (i + 1) rest
-    in
-    match first 0 attempts with
-    | Some (i, w) ->
-      assert (check t ~delta w);
-      Some (i, w)
-    | None -> None
-  end
-
-let find_max_delta_portfolio ?jobs ?(tolerance = 1e-4) ?delta_hi ~orders t =
-  Atomic.incr solve_counter;
-  deadline_check "find_max_delta_portfolio";
-  let delta_hi = match delta_hi with Some d -> d | None -> Float.max tolerance (widest_range t) in
-  match solve_portfolio ?jobs t ~delta:0.0 ~orders with
-  | None -> None
-  | Some (i0, w0) ->
-    let best = ref (i0, 0.0, w0) in
-    let lo = ref 0.0 and hi = ref delta_hi in
-    (match solve_portfolio ?jobs t ~delta:delta_hi ~orders with
-    | Some (i, w) ->
-      best := (i, delta_hi, w);
-      lo := delta_hi
-    | None -> ());
-    while !hi -. !lo > tolerance do
-      deadline_check "find_max_delta_portfolio";
-      let mid = (!lo +. !hi) /. 2.0 in
-      match solve_portfolio ?jobs t ~delta:mid ~orders with
-      | Some (i, w) ->
-        best := (i, mid, w);
-        lo := mid
-      | None -> hi := mid
-    done;
-    let i, d, w = !best in
-    Some (i, (d, w))

@@ -8,7 +8,9 @@
     separation of eq. 3 — find a feasible assignment, and find the largest
     [delta] for which one exists (the paper's [smt_find] binary search).
 
-    The number of variables equals the number of colors, which the
+    The module has one feasibility search, {!solve}, and one max-delta
+    search over it, {!find_max_delta}; both run serially on the calling
+    domain.  The number of variables equals the number of colors, which the
     compilation pipeline keeps small (§VII-C), so a complete backtracking
     search over value orderings is affordable and exact.  When the caller
     supplies a total [order] (the paper orders colors by multiplicity so that
@@ -42,36 +44,22 @@ val add_forbidden : t -> int -> center:float -> t
 val solve : ?order:int list -> t -> delta:float -> float array option
 (** [solve t ~delta] finds a feasible assignment or [None].  With [order],
     the assignment additionally satisfies
-    [x_order(0) <= x_order(1) <= ...].
+    [x_order(0) <= x_order(1) <= ...], and the search runs over the whole
+    problem — the global monotone chain deliberately spans components.
 
     Without [order] the search decomposes: independent connected components
-    of the constraint graph (see {!component_partition}) are solved on their
-    own restricted subproblems and the witnesses merged.  Single-component
-    problems run the exact monolithic search, so witnesses for the
-    complete-graph problems the compiler builds are unchanged.  With [order]
-    the search stays monolithic — the global monotone chain deliberately
-    spans components. *)
-
-val solve_monolithic : ?order:int list -> t -> delta:float -> float array option
-(** The pre-decomposition whole-problem search, kept as the scaling
-    benchmark baseline.  Identical to {!solve} on single-component problems
-    and whenever [order] is given. *)
-
-val solve_components :
-  ?jobs:int -> ?order:int list -> t -> delta:float -> float array option
-(** Pool-parallel variant of the decomposed {!solve}: each component is a
-    pool task.  Byte-identical to [solve t ~delta] (without [order]) at any
-    [jobs] — subproblems are pure functions of [t] and results merge in
-    component index order.  With [order], each component receives the
-    restriction of the global order (its members in global relative order);
-    unlike monolithic [solve ~order] there is no cross-component floor, so
-    the two ordered variants may return different witnesses. *)
+    of the constraint graph (see {!component_partition}) are solved one after
+    another on their own restricted subproblems and the witnesses merged in
+    component order.  Single-component problems run the whole-problem search
+    directly, so witnesses for the complete-graph problems the compiler
+    builds are those of the undecomposed solver.
+    @raise Invalid_argument if [order] does not list every variable. *)
 
 val component_partition : t -> int list list
 (** Connected components of the constraint graph (variables joined by binary
     separations; self-sidebands and forbidden zones are unary and join
     nothing).  Each component is sorted ascending, components ordered by
-    smallest variable — the determinism anchor for the decomposed solvers. *)
+    smallest variable — the merge order of the decomposed {!solve}. *)
 
 val margin : t -> float array -> float option
 (** [margin t a] is the smallest constraint slack of [a]: the largest delta
@@ -107,9 +95,6 @@ val verify : t -> delta:float -> float array -> bool
     which search path produced it.  Used by the property-based suites and as
     an internal sanity assertion. *)
 
-val check : t -> delta:float -> float array -> bool
-(** Alias of {!verify}, kept for existing callers. *)
-
 val find_max_delta_count : unit -> int
 (** Process-wide count of {!find_max_delta} invocations (each one full binary
     search).  Atomic, so safe to read while pool domains solve; the compiler's
@@ -134,44 +119,13 @@ val find_max_delta :
     ordered search only restricts the problem, a warm result can never beat
     the cold unordered maximum by more than [tolerance].
 
-    Cooperative cancellation: all solver entry points poll the ambient
-    {!Fastsc_util.Deadline} at chunk boundaries (per bisection probe, per
-    256 search nodes) and raise [Deadline.Expired] once the budget is gone —
-    never [None], so budget exhaustion cannot masquerade as infeasibility.
-    Pool fan-outs ({!find_max_delta_components}, {!solve_portfolio})
-    re-install the caller's ambient deadline on worker domains. *)
+    One search covers the whole problem: without [order] every probe is the
+    decomposed {!solve}, so on a multi-component problem the result is the
+    smallest of the components' own maxima (the binding component caps the
+    rest), and the witness verifies at that delta.
 
-type component_solution = {
-  members : int list;  (** Global variable ids of the component, ascending. *)
-  local_delta : float;  (** That component's own maximum delta. *)
-}
-
-val find_max_delta_components :
-  ?jobs:int -> ?order:int list -> ?tolerance:float -> ?delta_hi:float ->
-  ?warm:float array -> t ->
-  ((float * float array) * component_solution list) option
-(** Decomposed {!find_max_delta}: each constraint-graph component runs its
-    own binary search as a pool task (each ticking {!find_max_delta_count}
-    once), the global maximum is the min over components, and the merged
-    witness verifies at that delta.  Deterministic at any [jobs] — results
-    merge in component index order.  Problems with at most one component
-    delegate to {!find_max_delta}.  [warm]/[order] are restricted
-    per-component (members in global relative order); [None] if any
-    component is infeasible even at delta = 0. *)
-
-val solve_portfolio :
-  ?jobs:int -> t -> delta:float -> orders:int list list ->
-  (int * float array) option
-(** Race a portfolio of sweep orders as pool tasks; returns the
-    lowest-index feasible order and its witness.  A task may be cancelled
-    only once a lower-index task has succeeded, so every order below the
-    winner runs to completion and the result is a pure function of the
-    problem and portfolio — independent of [jobs] and scheduling.
-    @raise Invalid_argument on an empty portfolio or a malformed order. *)
-
-val find_max_delta_portfolio :
-  ?jobs:int -> ?tolerance:float -> ?delta_hi:float -> orders:int list list ->
-  t -> (int * (float * float array)) option
-(** Binary search over {!solve_portfolio}: at each probed delta the portfolio
-    races and the lowest-index feasible order wins.  Returns the winning
-    order index of the final retained probe with its (delta, witness). *)
+    Cooperative cancellation: {!solve} and {!find_max_delta} poll the
+    calling domain's ambient {!Fastsc_util.Deadline} at chunk boundaries
+    (per bisection probe, per 256 search nodes) and raise [Deadline.Expired]
+    once the budget is gone — never [None], so budget exhaustion cannot
+    masquerade as infeasibility. *)

@@ -4,8 +4,9 @@
    bechamel's clock stub — Unix.gettimeofday would make budgets jump with
    NTP steps).  Being a plain record it can be checked from any domain; the
    *ambient* deadline below is per-domain state, installed around a
-   computation by [with_deadline] and re-installed on pool workers with
-   [inherit_ambient] so fan-out solves stay cancellable. *)
+   computation by [with_deadline].  The passes and solvers that poll it run
+   on the domain that installed it: nothing budgeted is shipped to a pool
+   worker, whose ambient state starts empty. *)
 
 exception Expired of string
 
@@ -43,11 +44,6 @@ let with_deadline d f =
   in
   Domain.DLS.set ambient (Some effective);
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient prev) f
-
-let inherit_ambient f =
-  match current () with
-  | None -> f
-  | Some d -> fun x -> with_deadline d (fun () -> f x)
 
 let check ?site () =
   match Domain.DLS.get ambient with

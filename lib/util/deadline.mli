@@ -12,9 +12,10 @@
       domain and check with {!expired}/{!remaining_ms};
     - {b ambient}: {!with_deadline} installs a deadline in per-domain
       storage for the dynamic extent of a call, and {!check} (sprinkled
-      through passes and solver loops) raises when it has passed.  Pool
-      fan-outs re-install the caller's ambient deadline on worker domains
-      via {!inherit_ambient}. *)
+      through passes and solver loops) raises when it has passed.  The
+      ambient deadline is visible only on the domain that installed it, so
+      budgeted work — every pass and frequency solve of a compilation —
+      runs on that domain. *)
 
 exception Expired of string
 (** Raised by {!check} when the ambient deadline has passed.  The payload
@@ -49,11 +50,6 @@ val with_deadline : t -> (unit -> 'a) -> 'a
 
 val current : unit -> t option
 (** The ambient deadline of the calling domain, if any. *)
-
-val inherit_ambient : ('a -> 'b) -> 'a -> 'b
-(** [inherit_ambient f] captures the caller's ambient deadline and returns
-    [f] wrapped so each call re-installs it — the bridge for work shipped to
-    pool worker domains, which have their own (empty) ambient state. *)
 
 val check : ?site:string -> unit -> unit
 (** Poll the ambient deadline; a no-op when none is installed or time

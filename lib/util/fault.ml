@@ -9,9 +9,12 @@
    them fails — measuring that the test suite has teeth, not just that it is
    green.
 
-   Sites guard themselves with a module-level [lazy] around {!enabled}, so
-   the cost on the correct path is one forced-lazy read per call — nothing in
-   a kernel's inner loop ever re-reads the environment. *)
+   Sites bind {!enabled} to a plain module-level boolean, so the cost on the
+   correct path is one boolean read per call — nothing in a kernel's inner
+   loop ever re-reads the environment.  Plain values, not [lazy]: module
+   initialisation runs on the main domain before any pool domain exists,
+   whereas two domains forcing the same OCaml 5 [lazy] at once raise
+   [CamlinternalLazy.Undefined]. *)
 
 type spec = {
   name : string;
@@ -154,22 +157,21 @@ let names = List.map (fun s -> s.name) catalog
 
 let find name = List.find_opt (fun s -> s.name = name) catalog
 
-(* The active fault is resolved once per process.  An unknown name is a hard
-   error: a typo in FASTSC_FAULT silently injecting nothing would make the
-   meta-suite green for the wrong reason. *)
+(* The active fault is resolved once per process, at module initialisation.
+   An unknown name is a hard error: a typo in FASTSC_FAULT silently injecting
+   nothing would make the meta-suite green for the wrong reason. *)
 let active_fault =
-  lazy
-    (match Sys.getenv_opt "FASTSC_FAULT" with
-    | None | Some "" -> None
-    | Some name ->
-      if List.mem name names then Some name
-      else begin
-        Printf.eprintf "FASTSC_FAULT=%s: unknown fault (catalog: %s)\n%!" name
-          (String.concat " " names);
-        exit 2
-      end)
+  match Sys.getenv_opt "FASTSC_FAULT" with
+  | None | Some "" -> None
+  | Some name ->
+    if List.mem name names then Some name
+    else begin
+      Printf.eprintf "FASTSC_FAULT=%s: unknown fault (catalog: %s)\n%!" name
+        (String.concat " " names);
+      exit 2
+    end
 
-let active () = Lazy.force active_fault
+let active () = active_fault
 
 let enabled name =
   if not (List.mem name names) then

@@ -227,7 +227,7 @@ let run ?pool ?jobs n work =
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11): interior
    shard starts shifted up by one, so one element per boundary is skipped. *)
-let fault_shard = lazy (Fault.enabled "shard-boundary-off-by-one")
+let fault_shard = Fault.enabled "shard-boundary-off-by-one"
 
 let ranges ?(align = 1) ~jobs n =
   if align < 1 then invalid_arg "Pool.ranges: align must be >= 1";
@@ -241,7 +241,7 @@ let ranges ?(align = 1) ~jobs n =
        actual parallelism. *)
     let blocks = (n + align - 1) / align in
     let w = min jobs blocks in
-    let skew = if Lazy.force fault_shard then 1 else 0 in
+    let skew = if fault_shard then 1 else 0 in
     let bound i = if i = w then n else min n (i * blocks / w * align) in
     Array.init w (fun i ->
         let lo = bound i and hi = bound (i + 1) in
@@ -277,16 +277,15 @@ let run_ranges ?pool ?jobs ?align n f =
 (* --- combinators --- *)
 
 (* Seeded fault for the verification harness (docs/DESIGN.md §11). *)
-let fault_scramble = lazy (Fault.enabled "pool-scramble")
+let fault_scramble = Fault.enabled "pool-scramble"
 
 let mapi_array ?pool ?jobs f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    let scrambled = Lazy.force fault_scramble in
     let results = Array.make n None in
     run ?pool ?jobs n (fun i ->
-        let slot = if scrambled then n - 1 - i else i in
+        let slot = if fault_scramble then n - 1 - i else i in
         results.(slot) <- Some (f i xs.(i)));
     Array.map (function Some v -> v | None -> assert false) results
   end

@@ -2,7 +2,7 @@ open Helpers
 open Fastsc_util
 
 (* Monotonic deadlines: the budget machinery the serve layer threads through
-   Pass and Smt.  The last test is the sentinel for the seeded
+   Pass and Smt.  The last two tests are sentinels for the seeded
    smt-deadline-skip fault: with the cooperative polls disabled, an expired
    budget no longer aborts the solve. *)
 
@@ -67,20 +67,6 @@ let test_nesting_tightens () =
   in
   check_true "nesting keeps the sooner deadline" raised
 
-let test_inherit_ambient_crosses_domains () =
-  let z = Deadline.after_ms ~label:"cross" 0.0 in
-  let saw_deadline =
-    Deadline.with_deadline z (fun () ->
-        Deadline.inherit_ambient (fun () ->
-            match Deadline.check () with
-            | () -> false
-            | exception Deadline.Expired _ -> true))
-  in
-  (* fresh domains have no ambient state of their own; the wrapper must
-     carry the caller's in *)
-  check_true "worker domain sees the caller's deadline"
-    (Domain.join (Domain.spawn (fun () -> saw_deadline ())))
-
 (* Sentinel for FASTSC_FAULT=smt-deadline-skip: with the polls disabled, an
    already-expired budget no longer aborts find_max_delta and the solve runs
    to completion instead of raising. *)
@@ -98,23 +84,43 @@ let test_smt_aborts_on_expired_budget () =
   in
   check_true "expired budget aborts the solve via Expired" aborted
 
-let test_smt_portfolio_aborts_on_expired_budget () =
-  let t = Fastsc_smt.Smt.create ~lo:5.0 ~hi:7.0 8 in
-  for i = 0 to 6 do
-    Fastsc_smt.Smt.add_separation t i (i + 1)
-  done;
-  let forward = List.init 8 Fun.id in
-  let z = Deadline.after_ms ~label:"portfolio budget" 0.0 in
-  let aborted =
-    Deadline.with_deadline z (fun () ->
-        match
-          Fastsc_smt.Smt.find_max_delta_portfolio ~jobs:2 ~tolerance:1e-9
-            ~orders:[ forward; List.rev forward ] t
-        with
-        | _ -> false
-        | exception Deadline.Expired _ -> true)
+(* Decomposed allocation solves each component of a moment on its own; every
+   one of those solves must still see the caller's budget, at any pool size.
+   Cold caches make sure the solver actually runs (a memo hit never polls). *)
+let test_decomposed_allocation_honours_deadline () =
+  let open Fastsc_core in
+  let device = Fastsc_device.Device.create ~seed:7 (Topology.grid 5 5) in
+  (* two moments of far-apart couplings: each splits into two components *)
+  let circuit =
+    Circuit.of_gates 25
+      [
+        (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 3; 4 ]);
+        (Gate.Iswap, [ 20; 21 ]); (Gate.Iswap, [ 23; 24 ]);
+        (Gate.Iswap, [ 0; 1 ]); (Gate.Iswap, [ 3; 4 ]);
+      ]
   in
-  check_true "expired budget aborts the portfolio solve" aborted
+  let cold () =
+    Freq_alloc.reset_solver_cache ();
+    Fastsc_noise.Crosstalk.reset_pair_cache ()
+  in
+  let jobs = Pool.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_jobs jobs)
+    (fun () ->
+      Pool.set_default_jobs 2;
+      cold ();
+      let _, stats = Color_dynamic.run ~decompose:true device circuit in
+      check_true "moments split into several components"
+        (stats.Color_dynamic.components > stats.Color_dynamic.cycles);
+      cold ();
+      let z = Deadline.after_ms ~label:"decomposed budget" 0.0 in
+      let aborted =
+        Deadline.with_deadline z (fun () ->
+            match Color_dynamic.run ~decompose:true device circuit with
+            | _ -> false
+            | exception Deadline.Expired _ -> true)
+      in
+      check_true "expired budget aborts decomposed allocation" aborted)
 
 let suite =
   [
@@ -123,10 +129,8 @@ let suite =
     Alcotest.test_case "remaining and expired" `Quick test_remaining_and_expired;
     Alcotest.test_case "check raises when expired" `Quick test_check_raises_when_expired;
     Alcotest.test_case "nesting tightens" `Quick test_nesting_tightens;
-    Alcotest.test_case "inherit_ambient crosses domains" `Quick
-      test_inherit_ambient_crosses_domains;
     Alcotest.test_case "smt aborts on expired budget" `Quick
       test_smt_aborts_on_expired_budget;
-    Alcotest.test_case "smt portfolio aborts on expired budget" `Quick
-      test_smt_portfolio_aborts_on_expired_budget;
+    Alcotest.test_case "decomposed allocation honours deadline" `Quick
+      test_decomposed_allocation_honours_deadline;
   ]

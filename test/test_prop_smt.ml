@@ -108,7 +108,7 @@ let prop_verify_rejects_corrupted =
 
 (* Sparser instances than [gen_spec]: up to 10 variables with only ~n random
    separations, so the constraint graph routinely splits into several
-   components — the regime the decomposed solvers exist for. *)
+   components — the regime the decomposed solve exists for. *)
 let gen_sparse_spec rng =
   let n = Proptest.Gen.int_range 2 10 rng in
   let bound _ =
@@ -127,31 +127,51 @@ let gen_sparse_spec rng =
 
 let sparse_arb = Proptest.make ~shrink:shrink_spec ~print:print_spec gen_sparse_spec
 
-let prop_decomposed_solve_identical =
-  prop_case "solve_components is byte-identical to solve at any jobs" sparse_arb (fun s ->
-      let t = build s in
-      let reference = Smt.solve t ~delta:s.delta in
-      List.for_all
-        (fun jobs -> Smt.solve_components ~jobs t ~delta:s.delta = reference)
-        [ 1; 2; 4 ]
-      && match reference with None -> true | Some w -> Smt.verify t ~delta:s.delta w)
+(* One constraint-graph component of [s] as a problem of its own: its
+   variables renumbered in ascending order, with their bounds and every
+   separation (self-sidebands included) among them. *)
+let component_spec s comp =
+  let members = Array.of_list comp in
+  let local v =
+    let rec find k = if members.(k) = v then k else find (k + 1) in
+    find 0
+  in
+  {
+    n = Array.length members;
+    bounds = Array.map (fun v -> s.bounds.(v)) members;
+    seps =
+      List.filter_map
+        (fun (i, j, offset) ->
+          if List.mem i comp && List.mem j comp then Some (local i, local j, offset)
+          else None)
+        s.seps;
+    delta = s.delta;
+  }
 
-let prop_decomposed_max_delta_min_merge =
-  prop_case "find_max_delta_components min-merges verified witnesses" sparse_arb (fun s ->
+let prop_max_delta_min_merge =
+  prop_case "find_max_delta is the min of the component maxima" sparse_arb (fun s ->
       let t = build s in
-      match Smt.find_max_delta_components ~jobs:4 ~tolerance:1e-5 t with
-      | None -> Smt.solve t ~delta:0.0 = None
-      | Some ((delta, w), infos) ->
-        let members = List.concat_map (fun (i : Smt.component_solution) -> i.Smt.members) infos in
-        List.sort compare members = List.init s.n Fun.id
-        && List.for_all
-             (fun (i : Smt.component_solution) -> i.Smt.local_delta >= delta -. 1e-9)
-             infos
-        && Smt.verify t ~delta w
-        (* the sequentially-decomposed search agrees within tolerance *)
-        && (match Smt.find_max_delta ~tolerance:1e-5 t with
-           | None -> false
-           | Some (ds, _) -> Float.abs (ds -. delta) <= 3e-5))
+      let delta_hi =
+        Array.fold_left (fun acc (lo, hi) -> Float.max acc (hi -. lo)) 1e-5 s.bounds
+      in
+      let local_maxima =
+        List.map
+          (fun comp ->
+            Option.map fst
+              (Smt.find_max_delta ~tolerance:1e-5 ~delta_hi
+                 (build (component_spec s comp))))
+          (Smt.component_partition t)
+      in
+      match Smt.find_max_delta ~tolerance:1e-5 t with
+      | None -> List.mem None local_maxima && Smt.solve t ~delta:0.0 = None
+      | Some (delta, w) ->
+        (* the binding component caps the whole problem, within tolerance *)
+        let expected =
+          List.fold_left
+            (fun acc d -> match d with Some d -> Float.min acc d | None -> neg_infinity)
+            delta_hi local_maxima
+        in
+        Smt.verify t ~delta w && Float.abs (delta -. expected) <= 3e-5)
 
 let prop_warm_never_beats_cold =
   prop_case "warm-started search verifies and never beats cold" sparse_arb (fun s ->
@@ -182,27 +202,6 @@ let test_violations_reporting () =
   check_true "nan reported"
     (List.mem (Smt.Not_finite 0) (Smt.violations t ~delta:0.5 [| nan; 0.8 |]))
 
-let prop_portfolio_lowest_index_wins =
-  prop_case "portfolio winner is the lowest-index feasible order at any jobs"
-    spec_arb (fun s ->
-      let t = build s in
-      let idx = List.init s.n Fun.id in
-      let rotate = function [] -> [] | x :: rest -> rest @ [ x ] in
-      let orders = [ idx; List.rev idx; rotate idx ] in
-      (* the scheduling-independent oracle: try each order sequentially *)
-      let expected =
-        List.find_index
-          (fun order -> Smt.solve ~order t ~delta:s.delta <> None)
-          orders
-      in
-      List.for_all
-        (fun jobs ->
-          match (Smt.solve_portfolio ~jobs t ~delta:s.delta ~orders, expected) with
-          | None, None -> true
-          | Some (i, w), Some e -> i = e && Smt.verify t ~delta:s.delta w
-          | Some _, None | None, Some _ -> false)
-        [ 1; 2; 4 ])
-
 let suite =
   [
     prop_solve_verifies;
@@ -210,9 +209,7 @@ let suite =
     prop_ordered_solve_is_monotone;
     prop_verify_rejects_nan;
     prop_verify_rejects_corrupted;
-    prop_decomposed_solve_identical;
-    prop_decomposed_max_delta_min_merge;
+    prop_max_delta_min_merge;
     prop_warm_never_beats_cold;
-    prop_portfolio_lowest_index_wins;
     Alcotest.test_case "violations reporting" `Quick test_violations_reporting;
   ]
