@@ -369,7 +369,7 @@ let validate_cmd =
   in
   let run topology_spec n seed bench alg trials =
     let algorithm = parse_algorithm alg in
-    if n > 10 then `Error (false, "validation simulates exactly; use --n <= 10")
+    if n > 10 then `Error (false, "validation simulates exactly; use --size <= 10")
       else
         with_device topology_spec n seed (fun device ->
             let circuit = make_benchmark bench n seed device in

@@ -45,12 +45,6 @@ val mul : t -> t -> t
 (** Allocation-free-inner-loop matrix product (one result allocation).
     @raise Invalid_argument on dimension mismatch. *)
 
-val kron : t -> t -> t
-(** [kron a b] is the Kronecker product with [a] on the most-significant
-    index bits: entry at row [ra * rows b + rb], col [ca * cols b + cb] is
-    [a(ra,ca) * b(rb,cb)].  Matches the statevector convention that a
-    two-qubit gate's first operand owns the high bit. *)
-
 val interleaved : t -> float array
 (** Row-major interleaved [[|re; im; re; im; ...|]] copy of the entries —
     the layout the statevector kernels consume. *)

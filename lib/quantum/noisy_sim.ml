@@ -17,19 +17,15 @@ let exchange_unitary theta =
       [| z0; z0; z0; z1 |];
     |]
 
-(* Trajectory states are small and trials already fan out across the pool,
-   so gate application inside a trial stays serial ([~jobs:1]) — nesting
-   amplitude-range shards under trajectory parallelism would only contend
-   for the same workers. *)
 let apply_event rng state = function
-  | Unitary (gate, qubits) -> Statevector.apply ~jobs:1 state gate qubits
+  | Unitary (gate, qubits) -> Statevector.apply state gate qubits
   | Partial_exchange { a; b; theta } ->
-    Statevector.apply_matrix2 ~jobs:1 state (exchange_unitary theta) a b
+    Statevector.apply_matrix2 state (exchange_unitary theta) a b
   | Pauli_noise { q; p_x; p_y; p_z } ->
     let u = Rng.float rng in
-    if u < p_x then Statevector.apply ~jobs:1 state Gate.X [ q ]
-    else if u < p_x +. p_y then Statevector.apply ~jobs:1 state Gate.Y [ q ]
-    else if u < p_x +. p_y +. p_z then Statevector.apply ~jobs:1 state Gate.Z [ q ]
+    if u < p_x then Statevector.apply state Gate.X [ q ]
+    else if u < p_x +. p_y then Statevector.apply state Gate.Y [ q ]
+    else if u < p_x +. p_y +. p_z then Statevector.apply state Gate.Z [ q ]
 
 let run_trajectory_into state rng steps =
   Statevector.reset state;
@@ -37,7 +33,7 @@ let run_trajectory_into state rng steps =
 
 let run_trajectory rng ~n_qubits steps =
   let state = Statevector.create n_qubits in
-  List.iter (fun step -> List.iter (apply_event rng state) step) steps;
+  run_trajectory_into state rng steps;
   state
 
 let ideal_of_steps ~n_qubits steps =

@@ -12,17 +12,10 @@
     {!Gate.unitary}.
 
     Amplitudes are stored unboxed in two [Bigarray] float64 planes (split
-    re/im), which live outside the OCaml heap so domains share one state
-    zero-copy.  Gate kernels walk the state in contiguous runs
-    (cache-blocked index enumeration) and a single gate application can be
-    sharded across the pool by amplitude range: shard boundaries are a pure
-    function of the requested job count (see {!Fastsc_util.Pool.ranges}),
-    and each amplitude pair is written by exactly one shard, so results are
-    {e bit-identical} at any [--jobs].  Every kernel takes [?jobs]: [~jobs:1]
-    forces the serial walk, an explicit [~jobs:k] forces [k] shards even on
-    tiny states (for bit-identity tests), and the default shards only when
-    the state has at least 2{^16} amplitudes and {!Fastsc_util.Pool.default_jobs}
-    asks for parallelism.  {!Statevector_ref} is the boxed reference
+    re/im) that {!Density}, {!Unitary} and the simulation benches read
+    through {!buffers} without boxing.  Gate kernels apply one gate at a
+    time, serially, walking the state in contiguous runs (cache-blocked
+    index enumeration).  {!Statevector_ref} is the boxed reference
     implementation the differential tests compare against. *)
 
 type t
@@ -59,40 +52,19 @@ val amplitudes : t -> Complex.t array
 
 val amplitude : t -> int -> Complex.t
 
-val entries1 : Matrix.t -> float array
-(** Pre-extract a 2x2 gate into the interleaved [|re; im; ...|] kernel form
-    consumed by {!apply_entries1} (8 floats, row-major).  The fusion pass
-    extracts each matrix once and replays the float array.
-    @raise Invalid_argument unless the matrix is 2x2. *)
-
-val entries2 : Matrix.t -> float array
-(** Kernel form of a 4x4 gate (32 floats, row-major interleaved).
-    @raise Invalid_argument unless the matrix is 4x4. *)
-
-val apply_entries1 : ?jobs:int -> t -> float array -> int -> unit
-(** [apply_entries1 ~jobs t e q] applies the 2x2 gate [e] (in {!entries1}
-    form) to qubit [q].  See the module preamble for the [?jobs] sharding
-    contract.
-    @raise Invalid_argument on entry-count or qubit-range errors. *)
-
-val apply_entries2 : ?jobs:int -> t -> float array -> int -> int -> unit
-(** [apply_entries2 ~jobs t e a b] applies the 4x4 gate [e] (in {!entries2}
-    form) to the ordered pair [(a, b)] (first operand = most significant). *)
-
-val apply : ?jobs:int -> t -> Gate.t -> int list -> unit
+val apply : t -> Gate.t -> int list -> unit
 (** Apply a gate in place.
     @raise Invalid_argument on arity/range errors. *)
 
-val apply_matrix1 : ?jobs:int -> t -> Matrix.t -> int -> unit
+val apply_matrix1 : t -> Matrix.t -> int -> unit
 (** Apply an arbitrary 2x2 unitary to one qubit. *)
 
-val apply_matrix2 : ?jobs:int -> t -> Matrix.t -> int -> int -> unit
+val apply_matrix2 : t -> Matrix.t -> int -> int -> unit
 (** Apply an arbitrary 4x4 unitary to an ordered qubit pair (first operand =
     most significant). *)
 
-val run : ?jobs:int -> t -> Circuit.t -> unit
-(** Apply every instruction of the circuit in order.  [?jobs] is threaded to
-    every gate application; see {!Fusion.run} for the fused fast path. *)
+val run : t -> Circuit.t -> unit
+(** Apply every instruction of the circuit in order. *)
 
 val of_circuit : Circuit.t -> t
 (** Fresh |0..0> state with the circuit applied. *)

@@ -64,24 +64,6 @@ val submit : t -> (unit -> unit) -> unit
     run — callers must execute inline in that configuration (see {!jobs}).
     @raise Invalid_argument after {!shutdown}. *)
 
-val ranges : ?align:int -> jobs:int -> int -> (int * int) array
-(** [ranges ~align ~jobs n] cuts the index space [0, n) into at most [jobs]
-    contiguous half-open ranges [(lo, hi)].  Every interior boundary is a
-    multiple of [align] (default 1), ranges are non-empty and cover [0, n)
-    exactly, and the cut is a pure function of [(n, jobs, align)] — it never
-    depends on pool size or execution order, which is what lets
-    range-sharded kernels stay bit-identical at any actual parallelism.
-    Returns [[||]] when [n <= 0].
-    @raise Invalid_argument if [align < 1] or [jobs < 1]. *)
-
-val run_ranges : ?pool:t -> ?jobs:int -> ?align:int -> int -> (int -> int -> unit) -> unit
-(** [run_ranges ~jobs ~align n f] partitions [0, n) with {!ranges} and runs
-    [f lo hi] on each range in parallel.  The {e requested} width ([~jobs]
-    when given, else the [~pool]'s size, else {!default_jobs}) fixes the
-    shard boundaries; the pool's actual size only caps how many executors
-    run them — so results are identical whether the shards run on one
-    domain or many.  A single-range cut runs inline on the caller. *)
-
 val map_array : ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] with deterministic ordering.  Uses [~pool] when
     given, else the shared global pool (created on first use); [~jobs] caps

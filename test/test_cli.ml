@@ -69,6 +69,13 @@ let test_validate () =
   check_int "exit 0" 0 code;
   check_true "both estimates" (contains text "heuristic" && contains text "simulated")
 
+let test_validate_size_bound () =
+  (* the state-vector engine is serial and gate-at-a-time because validate
+     never simulates more than 10 qubits; this pins that bound *)
+  let code, text = run_capture "validate --bench bv -n 11 --trials 5" in
+  check_true "non-zero exit" (code <> 0);
+  check_true "size-bound error" (contains text "validation simulates exactly")
+
 let test_compile_qasm_input () =
   (* roundtrip through the CLI: export a circuit, compile it back in *)
   let qasm_file = Filename.temp_file "fastsc_cli" ".qasm" in
@@ -180,6 +187,7 @@ let suite =
     Alcotest.test_case "qasm" `Quick test_qasm;
     Alcotest.test_case "qasm --native" `Quick test_qasm_native_is_native;
     Alcotest.test_case "validate" `Quick test_validate;
+    Alcotest.test_case "validate rejects n above 10" `Quick test_validate_size_bound;
     Alcotest.test_case "compile --input qasm" `Quick test_compile_qasm_input;
     Alcotest.test_case "compile --chart" `Quick test_compile_chart;
     Alcotest.test_case "budget" `Quick test_budget_command;

@@ -17,37 +17,6 @@ let prop_flat_matches_boxed =
         flat;
       !worst <= 1e-9)
 
-let prop_fused_matches_unfused =
-  prop_case "fused plan is unitary-equivalent to the source circuit" circuits (fun c ->
-      Fusion.verify ~tol:1e-9 c (Fusion.plan c))
-
-(* Bitwise plane comparison: sharded execution must be indistinguishable
-   from serial down to the last ulp, whatever the shard count. *)
-let planes_bit_identical a b =
-  let are, aim = Statevector.buffers a and bre, bim = Statevector.buffers b in
-  let ok = ref true in
-  for k = 0 to Bigarray.Array1.dim are - 1 do
-    if
-      Int64.bits_of_float are.{k} <> Int64.bits_of_float bre.{k}
-      || Int64.bits_of_float aim.{k} <> Int64.bits_of_float bim.{k}
-    then ok := false
-  done;
-  !ok
-
-let prop_sharded_bit_identical =
-  prop_case "sharded gate application bit-identical to serial at any job count" circuits
-    (fun c ->
-      let n = Circuit.n_qubits c in
-      let run jobs =
-        let sv = Statevector.create n in
-        Statevector.run ~jobs sv c;
-        sv
-      in
-      let serial = run 1 in
-      (* Non-power-of-two widths included: shard boundaries must partition
-         the index space exactly whatever the split. *)
-      List.for_all (fun jobs -> planes_bit_identical serial (run jobs)) [ 2; 3; 4; 5 ])
-
 (* Lower a circuit to unitary-only noisy steps (one event per step). *)
 let steps_of_circuit c =
   Array.to_list
@@ -110,8 +79,6 @@ let test_average_fidelity_rejects_zero_trials () =
 let suite =
   [
     prop_flat_matches_boxed;
-    prop_fused_matches_unfused;
-    prop_sharded_bit_identical;
     prop_density_matches_trajectory;
     Alcotest.test_case "average_fidelity jobs invariance" `Quick
       test_average_fidelity_jobs_invariant;
