@@ -7,15 +7,9 @@
    crosstalk-adjacent active pair by |x_i - x_j| >= delta — the coupling-level
    frequency-allocation problem a scheduling cycle induces.  Sparse
    activations split into many independent components, which the unordered
-   [Smt.solve] behind every bisection probe solves one by one.  Two legs run
-   on the identical problems:
-
-   - cold: [Smt.find_max_delta] from scratch;
-   - warm restart: the same search re-seeded with the cold witness
-     ([find_max_delta ~warm], the compiler's consecutive-moment seed), which
-     opens the bisection at the seed's margin instead of at delta = 0.
-
-   Both witnesses are re-verified.  A final section replays each moment's
+   [Smt.solve] behind every bisection probe solves one by one.  Each moment
+   is timed through [Smt.find_max_delta] from scratch and its witness
+   re-verified.  A final section replays each moment's
    components through [Freq_alloc.interaction] (color-level problems, sizes
    capped at the mesh color bound) and reports the solver memo-cache hit
    rate.
@@ -104,7 +98,6 @@ type size_report = {
   solves : int;
   delta_mean : float;
   verified : bool;
-  warm_s : float;
   cache_solves : int;
   cache_hits : int;
   cache_hit_rate : float;
@@ -124,7 +117,6 @@ let run_size ~name ~moments ~density size =
   let comp_sizes = ref [] in
   let cold_s = ref 0.0 and solves = ref 0 and delta_sum = ref 0.0 in
   let verified = ref true in
-  let warm_s = ref 0.0 in
   for _ = 1 to moments do
     let t, n = moment_problem xg rng ~density in
     if n > 0 then begin
@@ -143,14 +135,7 @@ let run_size ~name ~moments ~density size =
       solves := !solves + (Smt.find_max_delta_count () - before);
       let d, w = Option.get cold in
       verified := !verified && Smt.verify t ~delta:d w;
-      delta_sum := !delta_sum +. d;
-      (* warm restart: the same search re-seeded with its own witness *)
-      let warm, dtw = time (fun () -> Smt.find_max_delta ~warm:w t) in
-      warm_s := !warm_s +. dtw;
-      let dw, ww = Option.get warm in
-      verified := !verified && Smt.verify t ~delta:dw ww;
-      (* a warm result can trail or lead the cold one only within tolerance *)
-      verified := !verified && Float.abs (dw -. d) <= 2.0 *. tolerance
+      delta_sum := !delta_sum +. d
     end
   done;
   (* cache section: each component as a color-level Freq_alloc problem *)
@@ -180,7 +165,6 @@ let run_size ~name ~moments ~density size =
     solves = !solves;
     delta_mean = !delta_sum /. float_of_int (max 1 !measured);
     verified = !verified;
-    warm_s = !warm_s;
     cache_solves;
     cache_hits = cache.Freq_alloc.hits;
     cache_hit_rate =
@@ -197,12 +181,10 @@ let run () =
   if not (List.mem name valid_topologies) then ignore (topology_of name 2);
   let scrub = scrubbed () in
   let ms s = if scrub then 0.0 else s *. 1000.0 in
-  let ratio num den = if scrub || den <= 0.0 then 0.0 else num /. den in
   let reports = List.map (fun size -> run_size ~name ~moments ~density size) sizes in
 
   let t = Tablefmt.create
-      [ "size"; "vars"; "comps"; "max"; "artic"; "cold ms"; "warm ms"; "warm speedup";
-        "cache hit rate" ]
+      [ "size"; "vars"; "comps"; "max"; "artic"; "cold ms"; "cache hit rate" ]
   in
   List.iter
     (fun r ->
@@ -214,8 +196,6 @@ let run () =
           Tablefmt.cell_int r.component_max;
           Tablefmt.cell_int r.articulation;
           Tablefmt.cell_float ~digits:2 (ms r.cold_s);
-          Tablefmt.cell_float ~digits:2 (ms r.warm_s);
-          Printf.sprintf "%.1fx" (ratio r.cold_s r.warm_s);
           Printf.sprintf "%.2f" r.cache_hit_rate;
         ])
     reports;
@@ -257,12 +237,6 @@ let run () =
                            ("delta_mean", Json.Float r.delta_mean);
                          ] );
                      ("witnesses_verified", Json.Bool r.verified);
-                     ( "warm",
-                       Json.Obj
-                         [
-                           ("warm_ms", Json.Float (ms r.warm_s));
-                           ("speedup_vs_cold", Json.Float (ratio r.cold_s r.warm_s));
-                         ] );
                      ( "cache",
                        Json.Obj
                          [

@@ -200,101 +200,75 @@ let compile_cmd =
           ~doc:
             "Emit the pass-manager report as JSON instead of the human-readable output: \
              per-pass wall-clock, SMT solve counts, solver/pair cache deltas, scheduler \
-             statistics (including per-moment crosstalk component counts and warm-start \
-             hits), and the evaluation metrics.")
+             statistics (including per-moment crosstalk component counts), and the \
+             evaluation metrics.")
   in
-  let warm_start_arg =
-    Arg.(
-      value & flag
-      & info [ "warm-start" ]
-          ~doc:
-            "Seed each moment's frequency solve with the previous moment's witness \
-             (ColorDynamic family).  Witnesses may differ from the cold path within the \
-             solver tolerance.")
-  in
-  let decompose_arg =
-    Arg.(
-      value & flag
-      & info [ "decompose" ]
-          ~doc:
-            "Allocate each connected component of a moment's active crosstalk subgraph \
-             independently on the domain pool (deterministic at any --jobs).")
-  in
-  let run topology_spec n seed bench alg verbose json draw chart trace warm_start decompose
-      input jobs =
-    match apply_jobs jobs with
-    | `Error _ as e -> e
-    | `Ok () ->
-      let algorithm = parse_algorithm alg in
-      let options =
-        { Compile.default_options with Compile.warm_start; decompose_components = decompose }
+  let run topology_spec n seed bench alg verbose json draw chart trace input =
+    let algorithm = parse_algorithm alg in
+    let external_circuit =
+      match input with
+      | None -> Ok None
+      | Some path -> (
+        try Ok (Some (Qasm.of_string (read_file path))) with
+        | Qasm.Parse_error (line, msg) ->
+          Error (Printf.sprintf "%s:%d: %s" path line msg)
+        | Sys_error msg -> Error msg)
+    in
+    match external_circuit with
+    | Error msg -> `Error (false, msg)
+    | Ok external_circuit ->
+      let n =
+        match external_circuit with Some c -> max n (Circuit.n_qubits c) | None -> n
       in
-      let external_circuit =
-        match input with
-        | None -> Ok None
-        | Some path -> (
-          try Ok (Some (Qasm.of_string (read_file path))) with
-          | Qasm.Parse_error (line, msg) ->
-            Error (Printf.sprintf "%s:%d: %s" path line msg)
-          | Sys_error msg -> Error msg)
-      in
-      match external_circuit with
-      | Error msg -> `Error (false, msg)
-      | Ok external_circuit ->
-        let n =
-          match external_circuit with Some c -> max n (Circuit.n_qubits c) | None -> n
-        in
-        with_device topology_spec n seed (fun device ->
-            if external_circuit = None && not (List.mem bench benchmark_names) then
-              `Error (false, Printf.sprintf "unknown benchmark %S" bench)
-            else begin
-              let circuit =
-                match external_circuit with
-                | Some c -> c
-                | None -> make_benchmark bench n seed device
-              in
-            if trace then begin
-              let ctx =
-                Pass.execute ~options ~algorithm:(Compile.algorithm_to_string algorithm)
-                  device circuit
-              in
-              (match Schedule.check (Pass.Context.schedule_exn ctx) with
-              | Ok () -> ()
-              | Error msg -> failwith ("invalid schedule: " ^ msg));
-              print_endline (Json.to_string (Pass.Context.report ctx));
-              `Ok ()
-            end
-            else begin
-            let schedule = Compile.run ~options algorithm device circuit in
-            (match Schedule.check schedule with
+      with_device topology_spec n seed (fun device ->
+          if external_circuit = None && not (List.mem bench benchmark_names) then
+            `Error (false, Printf.sprintf "unknown benchmark %S" bench)
+          else begin
+            let circuit =
+              match external_circuit with
+              | Some c -> c
+              | None -> make_benchmark bench n seed device
+            in
+          if trace then begin
+            let ctx =
+              Pass.execute ~algorithm:(Compile.algorithm_to_string algorithm) device circuit
+            in
+            (match Schedule.check (Pass.Context.schedule_exn ctx) with
             | Ok () -> ()
             | Error msg -> failwith ("invalid schedule: " ^ msg));
-            if json then print_endline (Export.to_string (Export.bundle schedule))
-            else begin
-              Format.printf "%a@." Device.pp_summary device;
-              Format.printf "%a@." Schedule.pp_summary schedule;
-              print_metrics (Schedule.evaluate schedule);
-              if draw then begin
-                let native = Compile.prepare Compile.default_options device circuit in
-                print_endline (Draw.circuit native)
-              end;
-              if chart then print_endline (Freq_chart.render schedule);
-              if verbose then
-                List.iter
-                  (fun step -> Format.printf "%a@." (Schedule.pp_step device) step)
-                  schedule.Schedule.steps
+            print_endline (Json.to_string (Pass.Context.report ctx));
+            `Ok ()
+          end
+          else begin
+          let schedule = Compile.run algorithm device circuit in
+          (match Schedule.check schedule with
+          | Ok () -> ()
+          | Error msg -> failwith ("invalid schedule: " ^ msg));
+          if json then print_endline (Export.to_string (Export.bundle schedule))
+          else begin
+            Format.printf "%a@." Device.pp_summary device;
+            Format.printf "%a@." Schedule.pp_summary schedule;
+            print_metrics (Schedule.evaluate schedule);
+            if draw then begin
+              let native = Compile.prepare Compile.default_options device circuit in
+              print_endline (Draw.circuit native)
             end;
-              `Ok ()
-            end
-            end)
+            if chart then print_endline (Freq_chart.render schedule);
+            if verbose then
+              List.iter
+                (fun step -> Format.printf "%a@." (Schedule.pp_step device) step)
+                schedule.Schedule.steps
+          end;
+            `Ok ()
+          end
+          end)
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile one benchmark (or a QASM file) with one algorithm")
     Term.(
       ret
         (const run $ topology_arg $ size_arg $ seed_arg $ bench_arg $ algorithm_arg
-       $ verbose_arg $ json_arg $ draw_arg $ chart_arg $ trace_arg $ warm_start_arg
-       $ decompose_arg $ input_arg $ jobs_arg))
+       $ verbose_arg $ json_arg $ draw_arg $ chart_arg $ trace_arg $ input_arg))
 
 (* fastsc qasm *)
 let qasm_cmd =
@@ -443,7 +417,7 @@ let serve_cmd =
           ~doc:
             "Default per-request compile budget in milliseconds; requests may override \
              with their own $(b,deadline_ms). Expired budgets degrade down the ladder \
-             (full, decomposed-warm, stale, greedy) instead of failing.")
+             (full, stale, greedy) instead of failing.")
   in
   let max_inflight_arg =
     Arg.(

@@ -22,6 +22,3 @@ val circuit :
     [Iswap].
     @raise Invalid_argument if [cycles < 1], if [classes] misses a coupling,
     or if [two_qubit_gate] is not a two-qubit gate. *)
-
-val single_qubit_set : Gate.t list
-(** The {sqrt-X, sqrt-Y, sqrt-W} gate set. *)

@@ -7,13 +7,10 @@ type stats = {
   component_max_size : int;
   component_sizes : string;
   component_solves : int;
-  warm_hits : int;
-  warm_misses : int;
 }
 
 let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
-    ?(colorer = Coloring.welsh_powell) ?(warm_start = false) ?(decompose = false)
-    device circuit =
+    ?(colorer = Coloring.welsh_powell) device circuit =
   (match max_colors with
   | Some k when k < 1 -> invalid_arg "Color_dynamic.run: max_colors must be >= 1"
   | _ -> ());
@@ -35,10 +32,6 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
   let component_max_size = ref 0 in
   let size_histogram : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let component_solves = ref 0 in
-  let warm_hit_count = ref 0 in
-  let warm_miss_count = ref 0 in
-  (* previous moment's interaction witness, threaded as the next warm seed *)
-  let prev_witness = ref None in
   while not (Pending.is_empty pending) do
     incr cycles;
     (* Lines 10-16: select gates for this cycle, most critical first,
@@ -125,10 +118,8 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
         let c = Hashtbl.find compact raw_coloring.(v) in
         multiplicity.(c) <- multiplicity.(c) + 1)
       survivors;
-    (* Independent regions of the moment: bookkeeping always (the trace
-       reports decomposability even when allocation stays global),
-       per-component allocation only under [decompose]. *)
-    let comps = Crosstalk_graph.components_of_active xg survivors in
+    (* Independent regions of the moment: bookkeeping only (the trace
+       reports how decomposable each moment is; allocation stays global). *)
     List.iter
       (fun comp ->
         let size = List.length comp in
@@ -136,70 +127,11 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
         if size > !component_max_size then component_max_size := size;
         Hashtbl.replace size_histogram size
           (1 + Option.value ~default:0 (Hashtbl.find_opt size_histogram size)))
-      comps;
-    let color_of v = Hashtbl.find compact raw_coloring.(v) in
+      (Crosstalk_graph.components_of_active xg survivors);
     let freq_of_gate =
       if n_colors = 0 then fun _ -> Step_builder.interaction_center device
-      else if decompose && List.length comps > 1 then begin
-        (* Per-component allocation: each component's color set is remapped
-           dense (ascending) and solved as its own small complete-graph
-           problem, whose memo key is the component's color count and order,
-           so recurring fragments hit the cache.  The solves run serially on
-           this domain, in component order, under the caller's ambient
-           deadline: components are tiny (mostly one or two couplings), so a
-           pool fan-out costs more than it saves. *)
-        let cells =
-          List.map
-            (fun comp ->
-              let cols =
-                List.sort_uniq compare (List.map color_of comp)
-              in
-              let local_of_col = Hashtbl.create 8 in
-              List.iteri (fun i c -> Hashtbl.replace local_of_col c i) cols;
-              let mult = Array.make (List.length cols) 0 in
-              List.iter
-                (fun v ->
-                  let i = Hashtbl.find local_of_col (color_of v) in
-                  mult.(i) <- mult.(i) + 1)
-                comp;
-              (comp, local_of_col, mult))
-            comps
-        in
-        let assignments =
-          List.map
-            (fun (_, _, mult) ->
-              Freq_alloc.interaction device ~n_colors:(Array.length mult)
-                ~multiplicity:mult)
-            cells
-        in
-        component_solves := !component_solves + List.length comps;
-        let freq_of_vertex = Hashtbl.create 16 in
-        List.iter2
-          (fun (comp, local_of_col, _) (assignment : Freq_alloc.assignment) ->
-            if assignment.Freq_alloc.delta < !min_delta then
-              min_delta := assignment.Freq_alloc.delta;
-            List.iter
-              (fun v ->
-                Hashtbl.replace freq_of_vertex v
-                  assignment.Freq_alloc.freqs.(Hashtbl.find local_of_col (color_of v)))
-              comp)
-          cells assignments;
-        fun app ->
-          match app.Gate.qubits with
-          | [| a; b |] ->
-            Hashtbl.find freq_of_vertex (Crosstalk_graph.vertex_of_pair xg (a, b))
-          | _ -> assert false
-      end
       else begin
-        let warm = if warm_start then !prev_witness else None in
-        let warm_used = ref false in
-        let assignment =
-          Freq_alloc.interaction ?warm ~warm_used device ~n_colors ~multiplicity
-        in
-        (match warm with
-        | Some _ -> if !warm_used then incr warm_hit_count else incr warm_miss_count
-        | None -> ());
-        if warm_start then prev_witness := Some assignment.Freq_alloc.freqs;
+        let assignment = Freq_alloc.interaction device ~n_colors ~multiplicity in
         incr component_solves;
         if assignment.Freq_alloc.delta < !min_delta then
           min_delta := assignment.Freq_alloc.delta;
@@ -207,7 +139,7 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
           match app.Gate.qubits with
           | [| a; b |] ->
             let v = Crosstalk_graph.vertex_of_pair xg (a, b) in
-            assignment.Freq_alloc.freqs.(color_of v)
+            assignment.Freq_alloc.freqs.(Hashtbl.find compact raw_coloring.(v))
           | _ -> assert false
       end
     in
@@ -239,8 +171,6 @@ let run ?(crosstalk_distance = 1) ?(max_colors = None) ?(conflict_threshold = 4)
       component_max_size = !component_max_size;
       component_sizes;
       component_solves = !component_solves;
-      warm_hits = !warm_hit_count;
-      warm_misses = !warm_miss_count;
     } )
 
 let pass_stats stats =
@@ -253,8 +183,6 @@ let pass_stats stats =
     ("component_max_size", Pass.Int stats.component_max_size);
     ("component_sizes", Pass.Text stats.component_sizes);
     ("component_solves", Pass.Int stats.component_solves);
-    ("warm_hits", Pass.Int stats.warm_hits);
-    ("warm_misses", Pass.Int stats.warm_misses);
   ]
 
 let scheduler : Pass.scheduler =
@@ -271,9 +199,7 @@ let scheduler : Pass.scheduler =
       let schedule, stats =
         run ~crosstalk_distance:options.Pass.crosstalk_distance
           ~max_colors:options.Pass.max_colors
-          ~conflict_threshold:options.Pass.conflict_threshold
-          ~warm_start:options.Pass.warm_start
-          ~decompose:options.Pass.decompose_components device native
+          ~conflict_threshold:options.Pass.conflict_threshold device native
       in
       (schedule, pass_stats stats)
   end)

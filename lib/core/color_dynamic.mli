@@ -28,11 +28,8 @@ type stats = {
   component_max_size : int;  (** Largest component seen (in couplings). *)
   component_sizes : string;  (** Histogram ["size:count ..."], sizes
                                  ascending, across all cycles. *)
-  component_solves : int;  (** Frequency solves paid: one per cycle with
-                               active gates, or one per component when
-                               decomposed allocation is on. *)
-  warm_hits : int;  (** Warm seeds accepted (positive margin). *)
-  warm_misses : int;  (** Warm attempts that fell back to the cold path. *)
+  component_solves : int;  (** Frequency solves requested: one per cycle
+                               with active two-qubit gates. *)
 }
 
 val run :
@@ -40,8 +37,6 @@ val run :
   ?max_colors:int option ->
   ?conflict_threshold:int ->
   ?colorer:(Graph.t -> Coloring.coloring) ->
-  ?warm_start:bool ->
-  ?decompose:bool ->
   Device.t -> Circuit.t -> Schedule.t * stats
 (** [run device circuit] compiles a routed, native-gate circuit.
     [crosstalk_distance] is the [d] of the crosstalk graph (default 1);
@@ -50,20 +45,17 @@ val run :
     (default 4); [colorer] is the subgraph-coloring heuristic (default
     {!Coloring.welsh_powell}, per the paper; swappable for ablations).
 
-    [warm_start] (default false) seeds each moment's frequency solve with
-    the previous moment's witness ({!Freq_alloc.interaction}'s [warm]);
-    [decompose] (default false) allocates each connected component of the
-    moment's active crosstalk subgraph independently, one solve after
-    another on the calling domain, merged in component order.  Both
-    default off so the paper-mode output stays bit-identical; component
-    counts are tracked in {!stats} either way.
+    Each cycle's colors get their frequencies from one
+    {!Freq_alloc.interaction} solve over the whole moment.  The connected
+    components of the moment's active crosstalk subgraph are counted in
+    {!stats} but not allocated separately.
     @raise Invalid_argument if [conflict_threshold < 1] or
     [max_colors < Some 1]. *)
 
 val pass_stats : stats -> Pass.stat list
 (** The generic pass-manager form of {!stats} ([cycles], [max_colors_used],
-    [postponed], [components], [component_max_size], [component_solves],
-    [warm_hits], [warm_misses] as [Int]; [min_delta] as [Float];
+    [postponed], [components], [component_max_size], [component_solves] as
+    [Int]; [min_delta] as [Float];
     [component_sizes] as [Text]) — what [Pass.Context.stats] carries after a
     ColorDynamic compilation.  Also reused by {!Gmon_dynamic}. *)
 

@@ -74,8 +74,6 @@ type options = Pass.options = {
   optimize : bool;
   router : string;
   delay_threshold : float;
-  warm_start : bool;
-  decompose_components : bool;
 }
 
 let default_options = Pass.default_options

@@ -82,13 +82,6 @@ type options = Pass.options = {
       (** Crosstalk pair-error budget for the software-only rival schedulers
           (murali-delay, cqc-synergy): simultaneous gate pairs whose modeled
           crosstalk error exceeds it are serialized; default [1e-4]. *)
-  warm_start : bool;
-      (** Warm-start each moment's frequency solve from the previous moment's
-          witness (default false; witnesses may differ within the solver
-          tolerance, so the default keeps golden outputs byte-identical). *)
-  decompose_components : bool;
-      (** Solve independent crosstalk components of each moment separately on
-          the domain pool (default false, same golden-output rationale). *)
 }
 (** Pipeline options — the same record as {!Pass.options}, re-exported so
     existing [Compile.default_options]-based code keeps working. *)

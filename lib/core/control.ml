@@ -127,14 +127,3 @@ let check schedule waveforms =
       waveforms;
     Ok ()
   with Bad msg -> Error msg
-
-let pp_waveform fmt waveform =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun segment ->
-      match segment with
-      | Hold { flux; duration } -> Format.fprintf fmt "hold %.4f for %.1f ns@," flux duration
-      | Ramp { flux_from; flux_to; duration } ->
-        Format.fprintf fmt "ramp %.4f -> %.4f over %.1f ns@," flux_from flux_to duration)
-    waveform;
-  Format.fprintf fmt "@]"

@@ -42,5 +42,3 @@ val check : Schedule.t -> waveform array -> (unit, string) result
 (** Invariants: one waveform per qubit; every waveform spans exactly the
     schedule's total time; all fluxes lie in [\[0, 0.5\]]; all durations are
     non-negative; ramps are continuous with their neighbours. *)
-
-val pp_waveform : Format.formatter -> waveform -> unit

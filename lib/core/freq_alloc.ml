@@ -1,12 +1,6 @@
 type assignment = { freqs : float array; delta : float }
 
-type cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  warm_hits : int;
-  warm_misses : int;
-}
+type cache_stats = { hits : int; misses : int; entries : int }
 
 (* The separation problems solved here are fully determined by a canonical
    key: the variable count, the band, the anharmonicity offset, and the
@@ -36,10 +30,6 @@ let cache_hits = ref 0
 
 let cache_misses = ref 0
 
-let warm_hits = ref 0
-
-let warm_misses = ref 0
-
 (* Same recycle discipline as Crosstalk.pair_error: at 2^16 entries the table
    is reset wholesale rather than evicted piecemeal, so a 100x100 sweep can
    never grow it without bound while the steady-state working set (a handful
@@ -48,15 +38,7 @@ let max_cache_entries = 1 lsl 16
 
 let solver_cache_stats () =
   Mutex.lock cache_mutex;
-  let stats =
-    {
-      hits = !cache_hits;
-      misses = !cache_misses;
-      entries = Hashtbl.length cache;
-      warm_hits = !warm_hits;
-      warm_misses = !warm_misses;
-    }
-  in
+  let stats = { hits = !cache_hits; misses = !cache_misses; entries = Hashtbl.length cache } in
   Mutex.unlock cache_mutex;
   stats
 
@@ -65,8 +47,6 @@ let reset_solver_cache () =
   if not fault_stale_reset then Hashtbl.reset cache;
   cache_hits := 0;
   cache_misses := 0;
-  warm_hits := 0;
-  warm_misses := 0;
   Mutex.unlock cache_mutex
 
 (* Snapshot codec: the memo table as a JSON document, for the serve daemon's
@@ -162,22 +142,9 @@ let build_problem ~lo ~hi ~alpha n =
   done;
   problem
 
-let solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n =
+let solve_separated_uncached ~lo ~hi ~alpha ~order n =
   let problem = build_problem ~lo ~hi ~alpha n in
-  (match warm with
-  | None -> ()
-  | Some w ->
-    (* a seed is a "warm hit" when it is actually usable: positive margin,
-       so the binary search opens there instead of at delta = 0 *)
-    let usable = match Fastsc_smt.Smt.margin problem w with
-      | Some m -> m > 0.0
-      | None -> false
-    in
-    Option.iter (fun r -> r := usable) warm_used;
-    Mutex.lock cache_mutex;
-    if usable then incr warm_hits else incr warm_misses;
-    Mutex.unlock cache_mutex);
-  match Fastsc_smt.Smt.find_max_delta ?order ?warm problem with
+  match Fastsc_smt.Smt.find_max_delta ?order problem with
   | Some (delta, freqs) -> { freqs; delta }
   | None ->
     (* find_max_delta only fails when even delta = 0 is infeasible, so that
@@ -198,35 +165,26 @@ let solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n =
            Printf.sprintf ", placement order [%s]"
              (String.concat "; " (List.map string_of_int order))))
 
-let solve_separated ?warm ?warm_used ~lo ~hi ~alpha ~order n =
-  match warm with
-  | Some _ ->
-    (* Warm solves bypass the memo table in both directions: their result
-       depends on the seed witness, not just the key, and cached values must
-       stay pure functions of the key — otherwise whether a concurrent cell
-       sees the cold or the warm answer would depend on domain scheduling,
-       breaking the any-jobs byte-identity contract. *)
-    solve_separated_uncached ?warm ?warm_used ~lo ~hi ~alpha ~order n
+let solve_separated ~lo ~hi ~alpha ~order n =
+  let k_alpha = if fault_alpha_key then 0.0 else alpha in
+  let key = { k_n = n; k_lo = lo; k_hi = hi; k_alpha; k_order = order } in
+  Mutex.lock cache_mutex;
+  let cached = Hashtbl.find_opt cache key in
+  (match cached with
+  | Some _ -> incr cache_hits
+  | None -> incr cache_misses);
+  Mutex.unlock cache_mutex;
+  match cached with
+  | Some (delta, freqs) -> { freqs = Array.copy freqs; delta }
   | None ->
-    let k_alpha = if fault_alpha_key then 0.0 else alpha in
-    let key = { k_n = n; k_lo = lo; k_hi = hi; k_alpha; k_order = order } in
+    let assignment = solve_separated_uncached ~lo ~hi ~alpha ~order n in
     Mutex.lock cache_mutex;
-    let cached = Hashtbl.find_opt cache key in
-    (match cached with
-    | Some _ -> incr cache_hits
-    | None -> incr cache_misses);
+    if Hashtbl.length cache >= max_cache_entries then Hashtbl.reset cache;
+    (* another domain may have solved the same key meanwhile; both computed
+       the same deterministic answer, so last-write-wins is fine *)
+    Hashtbl.replace cache key (assignment.delta, Array.copy assignment.freqs);
     Mutex.unlock cache_mutex;
-    (match cached with
-    | Some (delta, freqs) -> { freqs = Array.copy freqs; delta }
-    | None ->
-      let assignment = solve_separated_uncached ~lo ~hi ~alpha ~order n in
-      Mutex.lock cache_mutex;
-      if Hashtbl.length cache >= max_cache_entries then Hashtbl.reset cache;
-      (* another domain may have solved the same key meanwhile; both computed
-         the same deterministic answer, so last-write-wins is fine *)
-      Hashtbl.replace cache key (assignment.delta, Array.copy assignment.freqs);
-      Mutex.unlock cache_mutex;
-      assignment)
+    assignment
 
 (* Rigid translation preserves every pairwise separation and lets the
    assignment hug one end of its band: idle frequencies sink toward the low
@@ -270,19 +228,7 @@ let idle_per_qubit device =
   let coloring, assignment = idle device in
   Array.init (Device.n_qubits device) (fun q -> assignment.freqs.(coloring.(q)))
 
-(* Re-aim a previous witness at a new placement order: the separation
-   problem is a complete graph, symmetric under permutation of variables, so
-   the same value multiset sorted ascending along the new order is feasible
-   with the same margin — and monotone, which is what the ordered warm seed
-   requires. *)
-let warm_for_order ~order warm =
-  let sorted = Array.copy warm in
-  Array.sort compare sorted;
-  let w = Array.make (Array.length warm) 0.0 in
-  List.iteri (fun k v -> w.(v) <- sorted.(k)) order;
-  w
-
-let interaction ?lo ?hi ?warm ?warm_used device ~n_colors ~multiplicity =
+let interaction ?lo ?hi device ~n_colors ~multiplicity =
   if Array.length multiplicity <> n_colors then
     invalid_arg "Freq_alloc.interaction: multiplicity size mismatch";
   let partition = Device.partition device in
@@ -309,14 +255,7 @@ let interaction ?lo ?hi ?warm ?warm_used device ~n_colors ~multiplicity =
           | c -> c)
         (List.init n_colors Fun.id)
     in
-    let warm =
-      match warm with
-      | Some w when Array.length w = n_colors -> Some (warm_for_order ~order w)
-      | _ -> None
-    in
-    let assignment =
-      solve_separated ?warm ?warm_used ~lo ~hi ~alpha ~order:(Some order) n_colors
-    in
+    let assignment = solve_separated ~lo ~hi ~alpha ~order:(Some order) n_colors in
     { assignment with freqs = shift_to_max ~target_max:hi assignment.freqs }
   end
 

@@ -22,8 +22,6 @@ type cache_stats = {
   hits : int;  (** Memo-table hits (cold, key-determined solves). *)
   misses : int;  (** Memo-table misses that paid a full binary search. *)
   entries : int;  (** Current table population (bounded by 2^16, recycled). *)
-  warm_hits : int;  (** Warm solves whose seed had positive margin. *)
-  warm_misses : int;  (** Warm solves that fell back to the cold search. *)
 }
 
 val solver_cache_stats : unit -> cache_stats
@@ -33,10 +31,7 @@ val solver_cache_stats : unit -> cache_stats
     same color count appearing in many ColorDynamic cycles — are served from
     a mutex-protected table, so the counters are safe to read while pool
     domains compile.  The table is bounded at [2^16] entries with the same
-    reset-on-full recycle discipline as [Crosstalk.pair_error].  Warm-started
-    solves bypass the table in both directions (their results depend on the
-    seed, not just the key) and are tallied separately as
-    [warm_hits]/[warm_misses]. *)
+    reset-on-full recycle discipline as [Crosstalk.pair_error]. *)
 
 val reset_solver_cache : unit -> unit
 (** Drop all memoized solves and zero the counters (tests; also useful when
@@ -68,23 +63,11 @@ val idle_per_qubit : Device.t -> float array
 (** Convenience over {!idle}: the parking frequency of every qubit. *)
 
 val interaction :
-  ?lo:float -> ?hi:float -> ?warm:float array -> ?warm_used:bool ref ->
-  Device.t -> n_colors:int -> multiplicity:int array -> assignment
+  ?lo:float -> ?hi:float -> Device.t -> n_colors:int -> multiplicity:int array -> assignment
 (** Solve for [n_colors] interaction frequencies; [multiplicity.(c)] is the
     number of active couplings colored [c] and orders the result (larger
     multiplicity, higher frequency).  [lo]/[hi] override the interaction
     region (used by ablations).
-
-    [warm] is a previous moment's witness (its [freqs]); when its length
-    matches [n_colors] the value multiset is re-sorted along the new
-    placement order (the complete-graph problem is permutation-symmetric, so
-    feasibility and margin carry over) and seeds the binary search, which
-    then opens at the seed's margin instead of delta = 0.  Mismatched or
-    infeasible seeds silently fall back to the cold path.  Warm solves
-    bypass the memo cache; see {!solver_cache_stats}.  When a length-matched
-    seed was attempted, [warm_used] (if given) is set to whether it was
-    usable — a per-call channel for schedulers that must count hits without
-    reading the process-wide counters (which concurrent cells share).
     @raise Invalid_argument on a size mismatch;
     @raise Failure if infeasible. *)
 

@@ -1,8 +1,7 @@
-let run ?crosstalk_distance ?max_colors ?conflict_threshold ?(residual_coupling = 0.0)
-    ?warm_start ?decompose device circuit =
+let run ?crosstalk_distance ?max_colors ?conflict_threshold ?(residual_coupling = 0.0) device
+    circuit =
   let schedule, stats =
-    Color_dynamic.run ?crosstalk_distance ?max_colors ?conflict_threshold ?warm_start
-      ?decompose device circuit
+    Color_dynamic.run ?crosstalk_distance ?max_colors ?conflict_threshold device circuit
   in
   ( {
       schedule with
@@ -26,9 +25,7 @@ let scheduler : Pass.scheduler =
         run ~crosstalk_distance:options.Pass.crosstalk_distance
           ~max_colors:options.Pass.max_colors
           ~conflict_threshold:options.Pass.conflict_threshold
-          ~residual_coupling:options.Pass.residual_coupling
-          ~warm_start:options.Pass.warm_start
-          ~decompose:options.Pass.decompose_components device native
+          ~residual_coupling:options.Pass.residual_coupling device native
       in
       (schedule, Color_dynamic.pass_stats stats)
   end)

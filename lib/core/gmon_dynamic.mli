@@ -16,8 +16,6 @@ val run :
   ?max_colors:int option ->
   ?conflict_threshold:int ->
   ?residual_coupling:float ->
-  ?warm_start:bool ->
-  ?decompose:bool ->
   Device.t -> Circuit.t -> Schedule.t * Color_dynamic.stats
 (** Same parameters as {!Color_dynamic.run} plus the coupler leakage
     [residual_coupling] (default 0). *)

@@ -8,8 +8,6 @@ type options = {
   optimize : bool;
   router : string;
   delay_threshold : float;
-  warm_start : bool;
-  decompose_components : bool;
 }
 
 let default_options =
@@ -23,8 +21,6 @@ let default_options =
     optimize = false;
     router = "lookahead";
     delay_threshold = 1e-4;
-    warm_start = false;
-    decompose_components = false;
   }
 
 type stat_value =
@@ -178,8 +174,6 @@ module Context = struct
     smt_solves : int;
     solver_hits : int;
     solver_misses : int;
-    warm_hits : int;
-    warm_misses : int;
     pair_hits : int;
     pair_misses : int;
   }
@@ -264,8 +258,6 @@ module Context = struct
         ("hits", Json.Int stats.Freq_alloc.hits);
         ("misses", Json.Int stats.Freq_alloc.misses);
         ("entries", Json.Int stats.Freq_alloc.entries);
-        ("warm_hits", Json.Int stats.Freq_alloc.warm_hits);
-        ("warm_misses", Json.Int stats.Freq_alloc.warm_misses);
       ]
 
   let json_of_pair_cache (stats : Crosstalk.cache_stats) =
@@ -283,13 +275,7 @@ module Context = struct
         ("wall_ms", Json.Float (r.wall_ns /. 1e6));
         ("smt_solves", Json.Int r.smt_solves);
         ( "solver_cache",
-          Json.Obj
-            [
-              ("hits", Json.Int r.solver_hits);
-              ("misses", Json.Int r.solver_misses);
-              ("warm_hits", Json.Int r.warm_hits);
-              ("warm_misses", Json.Int r.warm_misses);
-            ] );
+          Json.Obj [ ("hits", Json.Int r.solver_hits); ("misses", Json.Int r.solver_misses) ] );
         ( "pair_cache",
           Json.Obj [ ("hits", Json.Int r.pair_hits); ("misses", Json.Int r.pair_misses) ] );
       ]
@@ -353,8 +339,6 @@ let make_pass pass_name f =
         smt_solves = Fastsc_smt.Smt.find_max_delta_count () - smt0;
         solver_hits = solver1.Freq_alloc.hits - solver0.Freq_alloc.hits;
         solver_misses = solver1.Freq_alloc.misses - solver0.Freq_alloc.misses;
-        warm_hits = solver1.Freq_alloc.warm_hits - solver0.Freq_alloc.warm_hits;
-        warm_misses = solver1.Freq_alloc.warm_misses - solver0.Freq_alloc.warm_misses;
         pair_hits = pair1.Crosstalk.hits - pair0.Crosstalk.hits;
         pair_misses = pair1.Crosstalk.misses - pair0.Crosstalk.misses;
       }

@@ -52,15 +52,6 @@ type options = {
       (** Crosstalk pair-error budget above which software-only schedulers
           (murali-delay, cqc-synergy) refuse to run two gates simultaneously
           and delay one instead; default [1e-4]. *)
-  warm_start : bool;
-      (** Seed each moment's frequency solve with the previous moment's
-          witness (ColorDynamic family).  Off by default: warm-started solves
-          may land on a different (equally valid) witness within the solver
-          tolerance, and the defaults must keep golden outputs byte-identical. *)
-  decompose_components : bool;
-      (** Allocate each connected component of the active crosstalk subgraph
-          independently (pool-parallel, merged in component order).  Off by
-          default for the same golden-output reason. *)
 }
 
 val default_options : options
@@ -95,7 +86,7 @@ module type SCHEDULER = sig
       circuit — {!pipeline} runs the classic front end first.  [`Logical]:
       the placement-applied but {e unrouted} program — the scheduler owns
       SWAP insertion and decomposition itself, and {!pipeline} hands it the
-      circuit through the combined {!route_schedule} stage instead. *)
+      circuit through the combined [route-schedule] stage instead. *)
 
   val schedule : options -> Device.t -> Circuit.t -> Schedule.t * stat list
   (** Schedule the circuit (routed native gates for [`Native] consumers, the
@@ -148,9 +139,6 @@ val register_router : router -> unit
 val routers : unit -> router list
 (** All registered routers, in registration order. *)
 
-val router_names : unit -> string list
-(** Canonical router names, in registration order. *)
-
 val find_router : string -> router option
 (** Look up by canonical name or alias. *)
 
@@ -166,8 +154,6 @@ module Context : sig
     smt_solves : int;  (** {!Fastsc_smt.Smt.find_max_delta} calls made. *)
     solver_hits : int;  (** {!Freq_alloc} solver-cache hits during the pass. *)
     solver_misses : int;
-    warm_hits : int;  (** Warm-started solves whose seed was usable. *)
-    warm_misses : int;  (** Warm-started solves that fell back cold. *)
     pair_hits : int;  (** {!Fastsc_noise.Crosstalk} pair-cache hits. *)
     pair_misses : int;
   }
@@ -227,15 +213,13 @@ type pass = {
   pass_name : string;
   apply : Context.t -> Context.t;
 }
-
-val make_pass : string -> (Context.t -> Context.t) -> pass
-(** Wrap a stage function with instrumentation: wall clock (monotonic —
+(** One instrumented stage.  Every [apply] measures wall clock (monotonic —
     {!Fastsc_util.Deadline.now_s}), SMT solve count and cache hit/miss
-    deltas are measured around the call and appended to the context's
-    trail.  (Counters are process-wide, so concurrent compilations on pool
-    domains see each other's deltas; per-pass numbers are exact when one
-    compilation runs at a time, e.g. under [--trace].)  Every wrapped pass
-    also polls the ambient deadline before starting and raises
+    deltas around the stage and appends them to the context's trail.
+    (Counters are process-wide, so concurrent compilations on pool domains
+    see each other's deltas; per-pass numbers are exact when one
+    compilation runs at a time, e.g. under [--trace].)  Every pass also
+    polls the ambient deadline before starting and raises
     [Deadline.Expired] when the budget is already gone. *)
 
 val place : pass
@@ -261,13 +245,6 @@ val schedule : string -> pass
     schedule, the canonical algorithm name and the scheduler's stats.
     @raise Invalid_argument (at application time) for an unknown name. *)
 
-val route_schedule : string -> pass
-(** The combined stage for [`Logical] consumers: apply the chosen placement
-    (widening the program to the device's qubit count) and hand the unrouted
-    circuit to the named scheduler, which owns SWAP insertion, decomposition
-    and scheduling; records the schedule, algorithm name and stats.
-    @raise Invalid_argument (at application time) for an unknown name. *)
-
 val evaluate : pass
 (** Evaluate the schedule ({!Schedule.evaluate} at
     [options.crosstalk_distance]) into {!Context.t.metrics}. *)
@@ -280,8 +257,10 @@ val pipeline : ?through:[ `Schedule | `Evaluate ] -> algorithm:string -> unit ->
 (** The stage list for one algorithm, assembled from the scheduler's declared
     requirements ({!SCHEDULER.consumes}): [`Native] consumers get
     [prepare_passes @ [schedule]], [`Logical] ones get
-    [[place; route_schedule]].  [through] (default [`Evaluate]) stops after
-    scheduling when metrics are not needed.
+    [[place; route-schedule]], where [route-schedule] applies the placement
+    and hands the unrouted circuit to the scheduler, which owns SWAP
+    insertion, decomposition and scheduling.  [through] (default
+    [`Evaluate]) stops after scheduling when metrics are not needed.
     @raise Invalid_argument for an unknown algorithm name. *)
 
 val run_pipeline : pass list -> Context.t -> Context.t

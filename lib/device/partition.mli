@@ -42,6 +42,5 @@ val in_exclusion : t -> float -> bool
 val in_interaction : t -> float -> bool
 
 val parking_width : t -> float
-val interaction_width : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -68,13 +68,6 @@ let edges g =
 
 let vertices g = List.init g.n Fun.id
 
-let fold_vertices f init g =
-  let acc = ref init in
-  for v = 0 to g.n - 1 do
-    acc := f !acc v
-  done;
-  !acc
-
 let subgraph g vs =
   let keep = Array.make g.n false in
   List.iter

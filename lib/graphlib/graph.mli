@@ -50,8 +50,6 @@ val vertices : t -> int list
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** Iterates each edge once, in canonical orientation. *)
 
-val fold_vertices : ('a -> int -> 'a) -> 'a -> t -> 'a
-
 val subgraph : t -> int list -> t
 (** [subgraph g vs] keeps only vertices in [vs] (edges between them survive);
     the result still has [n_vertices g] vertices so indices are stable —

@@ -62,8 +62,6 @@ val octagonal : int -> int -> t
 
 type tiling_class = A | B | C | D
 
-val tiling_class_to_string : tiling_class -> string
-
 val grid_edge_classes : int -> int -> ((int * int) * tiling_class) list
 (** [grid_edge_classes rows cols] assigns every mesh edge to one of the four
     Sycamore-style activation classes; each class is a matching, so activating

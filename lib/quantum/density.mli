@@ -36,10 +36,6 @@ val population : t -> int -> float
 val apply_unitary1 : t -> Matrix.t -> int -> unit
 (** Conjugate by a 2x2 unitary on one qubit. *)
 
-val apply_unitary2 : t -> Matrix.t -> int -> int -> unit
-(** Conjugate by a 4x4 unitary on an ordered qubit pair (first operand most
-    significant, as in {!Statevector}). *)
-
 val apply_gate : t -> Gate.t -> int list -> unit
 
 val apply_kraus1 : t -> Matrix.t list -> int -> unit

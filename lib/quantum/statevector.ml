@@ -233,16 +233,6 @@ let norm t =
   done;
   sqrt !acc
 
-let normalize t =
-  let n = norm t in
-  if n > 0.0 then begin
-    let s = 1.0 /. n in
-    for k = 0 to dim t - 1 do
-      t.re.{k} <- s *. t.re.{k};
-      t.im.{k} <- s *. t.im.{k}
-    done
-  end
-
 let measure rng t =
   let u = Rng.float rng in
   let d = dim t in

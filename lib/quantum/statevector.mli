@@ -80,7 +80,5 @@ val fidelity : t -> t -> float
 
 val norm : t -> float
 
-val normalize : t -> unit
-
 val measure : Rng.t -> t -> int
 (** Sample a basis state from the output distribution (state unchanged). *)

@@ -1,28 +1,25 @@
 (* The graceful-degradation ladder.
 
-   A request walks four rungs, each cheaper than the last, until one
+   A request walks three rungs, each cheaper than the last, until one
    produces a schedule within whatever budget remains:
 
-     full             the requested algorithm, full SMT portfolio,
-                      first half of the budget
-     decomposed-warm  same algorithm with component decomposition and
-                      warm starts on, the rest of the budget
-     stale            a previously computed witness for the identical
-                      compile problem (in-memory, no SMT, no deadline)
-     greedy           the greedy-spread scheduler — graph coloring only,
-                      runs without a deadline and always succeeds
+     full    the requested algorithm with its full SMT solve, on the first
+             half of the budget (the other half is the greedy rung's room)
+     stale   a previously computed witness for the identical compile
+             problem (in-memory, no SMT, no deadline)
+     greedy  the greedy-spread scheduler — graph coloring only, runs
+             without a deadline and always succeeds
 
-   SMT rungs abandon work by raising Deadline.Expired from the cooperative
-   polls inside Pass/Smt; the ladder catches it (and Failure, for genuinely
-   infeasible problems) and steps down.  Every attempt is recorded with its
-   wall-clock and outcome, so the response trace shows exactly how the
-   request degraded. *)
+   The full rung abandons work by raising Deadline.Expired from the
+   cooperative polls inside Pass/Smt; the ladder catches it (and Failure,
+   for genuinely infeasible problems) and steps down.  Every attempt is
+   recorded with its wall-clock and outcome, so the response trace shows
+   exactly how the request degraded. *)
 
-type tier = Full | Decomposed_warm | Stale | Greedy
+type tier = Full | Stale | Greedy
 
 let tier_name = function
   | Full -> "full"
-  | Decomposed_warm -> "decomposed-warm"
   | Stale -> "stale"
   | Greedy -> "greedy"
 
@@ -76,14 +73,6 @@ let reset_stale_cache () =
 
 (* -- walking the ladder ------------------------------------------------------ *)
 
-let options_for (req : Protocol.request) ~warm ~decompose =
-  {
-    Pass.default_options with
-    Pass.crosstalk_distance = req.crosstalk_distance;
-    warm_start = req.warm_start || warm;
-    decompose_components = req.decompose_components || decompose;
-  }
-
 let compile ?default_deadline_ms (req : Protocol.request) =
   (* registration side effect: referencing Compile guarantees the built-in
      schedulers (greedy-spread included) are in the registry *)
@@ -129,26 +118,10 @@ let compile ?default_deadline_ms (req : Protocol.request) =
         metrics;
       }
   in
-  let run_smt t ~options ~deadline =
-    let t0 = Deadline.now_s () in
-    let ms () = (Deadline.now_s () -. t0) *. 1000.0 in
-    match Pass.execute ~options ?deadline ~algorithm:req.algorithm device circuit with
-    | ctx ->
-      let metrics = Pass.Context.metrics_exn ctx in
-      let algorithm = Option.value ~default:req.algorithm ctx.Pass.Context.algorithm in
-      record t (ms ()) "ok";
-      stale_store key (algorithm, metrics);
-      Some (algorithm, metrics)
-    | exception Deadline.Expired _ ->
-      record t (ms ()) "expired";
-      None
-    | exception Failure _ ->
-      record t (ms ()) "error";
-      None
-  in
+  let options = { Pass.default_options with Pass.crosstalk_distance = req.crosstalk_distance } in
   (* rung 1: full solve on the first half of the budget — enough to succeed
-     when the problem is easy, early enough to leave the fallback room *)
-  let tier_full_deadline =
+     when the problem is easy, early enough to leave the greedy rung room *)
+  let full_deadline =
     Option.map
       (fun d ->
         Deadline.after_ms
@@ -156,36 +129,40 @@ let compile ?default_deadline_ms (req : Protocol.request) =
           (Float.max 0.0 (Deadline.remaining_ms d /. 2.0)))
       overall
   in
-  match
-    run_smt Full ~deadline:tier_full_deadline
-      ~options:(options_for req ~warm:false ~decompose:false)
-  with
+  let t0 = Deadline.now_s () in
+  let ms () = (Deadline.now_s () -. t0) *. 1000.0 in
+  let full =
+    match
+      Pass.execute ~options ?deadline:full_deadline ~algorithm:req.algorithm device circuit
+    with
+    | ctx ->
+      let metrics = Pass.Context.metrics_exn ctx in
+      let algorithm = Option.value ~default:req.algorithm ctx.Pass.Context.algorithm in
+      record Full (ms ()) "ok";
+      stale_store key (algorithm, metrics);
+      Some (algorithm, metrics)
+    | exception Deadline.Expired _ ->
+      record Full (ms ()) "expired";
+      None
+    | exception Failure _ ->
+      record Full (ms ()) "error";
+      None
+  in
+  match full with
   | Some result -> finish Full result
   | None -> (
-    (* rung 2: decomposition + warm starts make much larger problems fit a
-       budget; bounded by what remains of the whole request budget *)
-    match
-      run_smt Decomposed_warm ~deadline:overall
-        ~options:(options_for req ~warm:true ~decompose:true)
-    with
-    | Some result -> finish Decomposed_warm result
-    | None -> (
-      (* rung 3: a witness computed for the identical problem earlier — pure
-         table lookup, immune to the deadline *)
-      match stale_find key with
-      | Some (algorithm, metrics) ->
-        record Stale 0.0 "hit";
-        finish Stale (algorithm, metrics)
-      | None ->
-        record Stale 0.0 "miss";
-        (* rung 4: no SMT, no deadline — cannot fail, so the ladder always
-           returns a structured response *)
-        let t0 = Deadline.now_s () in
-        let ctx =
-          Pass.execute
-            ~options:(options_for req ~warm:false ~decompose:false)
-            ~algorithm:"greedy-spread" device circuit
-        in
-        let metrics = Pass.Context.metrics_exn ctx in
-        record Greedy ((Deadline.now_s () -. t0) *. 1000.0) "ok";
-        finish Greedy ("greedy-spread", metrics)))
+    (* rung 2: a witness computed for the identical problem earlier — pure
+       table lookup, immune to the deadline *)
+    match stale_find key with
+    | Some (algorithm, metrics) ->
+      record Stale 0.0 "hit";
+      finish Stale (algorithm, metrics)
+    | None ->
+      record Stale 0.0 "miss";
+      (* rung 3: no SMT, no deadline — cannot fail, so the ladder always
+         returns a structured response *)
+      let t0 = Deadline.now_s () in
+      let ctx = Pass.execute ~options ~algorithm:"greedy-spread" device circuit in
+      let metrics = Pass.Context.metrics_exn ctx in
+      record Greedy ((Deadline.now_s () -. t0) *. 1000.0) "ok";
+      finish Greedy ("greedy-spread", metrics))

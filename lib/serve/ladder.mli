@@ -1,26 +1,23 @@
 (** The graceful-degradation ladder: budgeted compilation that always
     answers.
 
-    A request walks four rungs until one produces a schedule within the
+    A request walks three rungs until one produces a schedule within the
     remaining budget:
 
     + {b full} — the requested algorithm with its full SMT solve, given the
-      first half of the budget;
-    + {b decomposed-warm} — the same algorithm with component decomposition
-      and warm starts forced on, given the rest of the budget;
+      first half of the budget (the rest is the greedy rung's room);
     + {b stale} — a previously computed witness for the identical compile
       problem (in-memory cache, no SMT, deadline-immune);
     + {b greedy} — the [greedy-spread] scheduler: graph coloring only, runs
       without a deadline and always succeeds.
 
-    SMT rungs abandon work via the cooperative [Deadline.Expired] polls in
-    [Pass]/[Smt]; the ladder records every attempt (tier, wall-clock,
+    The full rung abandons work via the cooperative [Deadline.Expired] polls
+    in [Pass]/[Smt]; the ladder records every attempt (tier, wall-clock,
     outcome) in the response trace. *)
 
-type tier = Full | Decomposed_warm | Stale | Greedy
-
-val tier_name : tier -> string
-(** ["full"], ["decomposed-warm"], ["stale"], ["greedy"]. *)
+type tier = Full | Stale | Greedy
+(** Named ["full"], ["stale"] and ["greedy"] in a response's [tier] and
+    attempt trail. *)
 
 val compile : ?default_deadline_ms:float -> Protocol.request -> Protocol.response
 (** Walk the ladder for one request.  The budget is the request's
@@ -30,7 +27,7 @@ val compile : ?default_deadline_ms:float -> Protocol.request -> Protocol.respons
     unrealizable request) raise {!Protocol.Bad_request}; anything else
     escaping is a daemon-level internal error.
 
-    Successful SMT-rung results are stored in the stale-witness cache under
+    Successful full-rung results are stored in the stale-witness cache under
     {!Protocol.cache_key}; greedy results are not (a stale hit must never be
     worse than what the greedy rung would recompute). *)
 

@@ -48,6 +48,13 @@ let get_bool ~default doc key =
   | Some _ -> bad "field %S must be a boolean" key
   | None -> default
 
+(* The retired allocation switches: a request may leave them out or set them
+   false, and a true one is refused rather than silently ignored. *)
+let get_retired doc key =
+  if get_bool ~default:false doc key then
+    bad "field %S is no longer supported: frequency allocation has one path" key;
+  false
+
 let get_float_opt doc key =
   match Json.member key doc with
   | Some (Json.Float f) -> Some f
@@ -78,8 +85,8 @@ let request_of_json doc =
       seed = get_int ~default:2020 doc "seed";
       algorithm = get_string ~default:"color-dynamic" doc "algorithm";
       deadline_ms;
-      warm_start = get_bool ~default:false doc "warm_start";
-      decompose_components = get_bool ~default:false doc "decompose_components";
+      warm_start = get_retired doc "warm_start";
+      decompose_components = get_retired doc "decompose_components";
       crosstalk_distance = get_int ~default:1 doc "crosstalk_distance";
     }
   in
@@ -98,10 +105,9 @@ let parse_request line =
    that determines the answer, nothing that does not (id, deadline).  Keys
    the stale-witness cache. *)
 let cache_key req =
-  Printf.sprintf "%s|%d|%s|%d|%s|%b|%b|%d"
+  Printf.sprintf "%s|%d|%s|%d|%s|%d"
     (match req.qasm with None -> req.bench | Some q -> "qasm:" ^ Snapshot.fnv64 q)
-    req.n req.topology req.seed req.algorithm req.warm_start
-    req.decompose_components req.crosstalk_distance
+    req.n req.topology req.seed req.algorithm req.crosstalk_distance
 
 (* -- realizing a request into a compile problem ------------------------------ *)
 

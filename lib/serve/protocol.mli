@@ -5,11 +5,12 @@
     {v
     { "id": "r1", "bench": "qaoa", "n": 9, "topology": "grid",
       "seed": 2020, "algorithm": "color-dynamic", "deadline_ms": 250,
-      "warm_start": false, "decompose_components": false,
       "crosstalk_distance": 1 }
     v}
 
-    Only ["id"] is mandatory; every other field has the CLI's default.  An
+    Only ["id"] is mandatory; every other field has the CLI's default.  The
+    retired ["warm_start"] and ["decompose_components"] switches may be
+    absent or [false]; [true] is refused.  An
     inline ["qasm"] string replaces the named benchmark.  Responses are one
     compact JSON object per line: on success the evaluation metrics plus the
     degradation-ladder trace (tier, retries, per-tier latency); on failure a
@@ -30,7 +31,12 @@ type request = {
   algorithm : string;  (** Scheduler registry name or alias. *)
   deadline_ms : float option;  (** Per-request budget; [None] = server default. *)
   warm_start : bool;
+      (** Always [false]: the retired warm-start switch.  The field stays
+          only because request-building code outside this library still
+          names it; the decoders refuse [true] and {!cache_key} ignores it. *)
   decompose_components : bool;
+      (** Always [false]: the retired per-component allocation switch, kept
+          for the same reason as [warm_start]. *)
   crosstalk_distance : int;
 }
 
@@ -38,7 +44,8 @@ val benchmark_names : string list
 
 val request_of_json : Json.t -> request
 (** @raise Bad_request on a non-object, missing [id], mistyped field,
-    unknown benchmark, or a negative/non-finite deadline. *)
+    unknown benchmark, a negative/non-finite deadline, or [warm_start] or
+    [decompose_components] set to [true] (the message names the field). *)
 
 val parse_request : string -> request
 (** Decode one request line ({!Json.parse} + {!request_of_json}).
@@ -72,8 +79,6 @@ type ok_body = {
 }
 
 type error_code = Overloaded | Bad_request_code | Internal
-
-val error_code_name : error_code -> string
 
 type response =
   | Ok_response of ok_body

@@ -29,18 +29,6 @@ type config = {
   scrub : bool;
 }
 
-let default_config =
-  {
-    socket = None;
-    deadline_ms = None;
-    max_inflight = 64;
-    snapshot_dir = None;
-    snapshot_every = 32;
-    stats_every = 0;
-    drain_grace_ms = 2000.0;
-    scrub = false;
-  }
-
 let snapshot_version = 1
 
 let log fmt = Printf.eprintf ("fastsc serve: " ^^ fmt ^^ "\n%!")

@@ -28,11 +28,6 @@ type config = {
       (** Zero latency fields in responses (also [FASTSC_SERVE_SCRUB=1]). *)
 }
 
-val default_config : config
-(** stdin transport, no default deadline, [max_inflight = 64],
-    no snapshots, [snapshot_every = 32], stats line off, 2 s drain grace,
-    no scrub. *)
-
 val run : config -> unit
 (** Run the daemon until EOF on its transport or SIGTERM/SIGINT, then
     drain and return.  Installs signal handlers for the duration. *)

@@ -9,7 +9,7 @@
 
 (* The degradation ladder's rungs, in ladder order, so the stats line lists
    tiers in the order requests fall through them. *)
-let tier_order = [ "full"; "decomposed-warm"; "stale"; "greedy" ]
+let tier_order = [ "full"; "stale"; "greedy" ]
 
 type t = {
   mutex : Mutex.t;

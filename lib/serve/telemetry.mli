@@ -29,4 +29,4 @@ val format_line :
 
 val line : t -> string
 (** Snapshot + {!Fastsc_core.Freq_alloc.solver_cache_stats} + {!format_line};
-    tiers appear in ladder order (full, decomposed-warm, stale, greedy). *)
+    tiers appear in ladder order (full, stale, greedy). *)

@@ -37,8 +37,6 @@ let create ?(lo = 0.0) ?(hi = 1.0) n =
   if lo > hi then invalid_arg "Smt.create: lo > hi";
   { n; lo = Array.make n lo; hi = Array.make n hi; seps = []; forbidden = [] }
 
-let n_vars t = t.n
-
 let check_var t v =
   if v < 0 || v >= t.n then invalid_arg "Smt: variable out of range"
 
@@ -191,16 +189,6 @@ type violation =
   | Separation_violated of int * int * float
   | Forbidden_violated of int * float
 
-let pp_violation ppf = function
-  | Length_mismatch n -> Format.fprintf ppf "assignment has %d values" n
-  | Not_finite v -> Format.fprintf ppf "x%d is not finite" v
-  | Out_of_bounds v -> Format.fprintf ppf "x%d outside its bounds" v
-  | Separation_violated (i, j, offset) ->
-    if offset = 0.0 then Format.fprintf ppf "|x%d - x%d| < delta" i j
-    else Format.fprintf ppf "|x%d %+g - x%d| < delta" i offset j
-  | Forbidden_violated (v, center) ->
-    Format.fprintf ppf "x%d inside the forbidden zone around %g" v center
-
 (* All comparisons carry the same epsilon slack the solver uses, so witnesses
    sitting exactly on a boundary (two variables at precisely delta apart, a
    value landing on an interval endpoint) verify as satisfying.  Non-finite
@@ -235,43 +223,6 @@ let violations t ~delta assignment =
   end
 
 let verify t ~delta assignment = violations t ~delta assignment = []
-
-(* Smallest slack of any constraint under [assignment]: the largest delta at
-   which the assignment still verifies.  None when the assignment is invalid
-   independently of delta (wrong length, NaN, outside bounds).  This is what
-   makes warm starts sound: a previous moment's witness with margin [m] is a
-   ready-made feasible point for every delta <= m, so the binary search can
-   open at [lo = m] instead of probing delta = 0. *)
-let margin t assignment =
-  if Array.length assignment <> t.n then None
-  else begin
-    let ok = ref true in
-    for v = 0 to t.n - 1 do
-      if
-        (not (Float.is_finite assignment.(v)))
-        || assignment.(v) < t.lo.(v) -. epsilon
-        || assignment.(v) > t.hi.(v) +. epsilon
-      then ok := false
-    done;
-    if not !ok then None
-    else begin
-      let m = ref infinity in
-      List.iter
-        (fun { i; j; offset } ->
-          let slack =
-            if i = j then Float.abs offset
-            else Float.abs (assignment.(i) +. offset -. assignment.(j))
-          in
-          if slack < !m then m := slack)
-        t.seps;
-      List.iter
-        (fun (v, center) ->
-          let slack = Float.abs (assignment.(v) -. center) in
-          if slack < !m then m := slack)
-        t.forbidden;
-      Some !m
-    end
-  end
 
 (* Variables connected (transitively) by binary separations must be placed
    together; everything else is independent.  Self-sidebands and forbidden
@@ -369,52 +320,15 @@ let solve_counter = Atomic.make 0
 
 let find_max_delta_count () = Atomic.get solve_counter
 
-let reset_find_max_delta_count () = Atomic.set solve_counter 0
-
-(* Respecting [order] means the witness must be non-decreasing along it; a
-   warm witness from another moment need not be, so it is only accepted as a
-   seed when it honours the contract the caller asked for. *)
-let monotone_along order assignment =
-  let rec walk = function
-    | a :: (b :: _ as rest) ->
-      assignment.(a) <= assignment.(b) +. epsilon && walk rest
-    | _ -> true
-  in
-  walk order
-
-let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi ?warm t =
+let find_max_delta ?order ?(tolerance = 1e-4) ?delta_hi t =
   Atomic.incr solve_counter;
   deadline_check "find_max_delta";
   let delta_hi = match delta_hi with Some d -> d | None -> Float.max tolerance (widest_range t) in
-  (* Warm start: a previous witness with positive margin [m] is feasible for
-     every delta <= m, so it replaces the delta = 0 probe and opens the
-     search at [lo = m].  Invalid or non-monotone (under [order]) witnesses
-     fall back to the cold path — warm starting never changes feasibility,
-     only how much of the binary search is skipped. *)
-  let seeded =
-    match warm with
-    | None -> None
-    | Some w -> (
-      match margin t w with
-      | Some m
-        when m > 0.0
-             && (match order with None -> true | Some o -> monotone_along o w)
-        -> Some (Float.min m delta_hi, Array.copy w)
-      | _ -> None)
-  in
-  let base =
-    match seeded with
-    | Some _ -> seeded
-    | None -> (
-      match solve ?order t ~delta:0.0 with
-      | None -> None
-      | Some witness0 -> Some (0.0, witness0))
-  in
-  match base with
+  match solve ?order t ~delta:0.0 with
   | None -> None
-  | Some (d0, w0) ->
-    let best = ref (d0, w0) in
-    let lo = ref d0 and hi = ref delta_hi in
+  | Some w0 ->
+    let best = ref (0.0, w0) in
+    let lo = ref 0.0 and hi = ref delta_hi in
     (* Check the top first: if delta_hi itself is feasible we are done. *)
     if !lo < delta_hi then (
       match solve ?order t ~delta:delta_hi with

@@ -25,8 +25,6 @@ val create : ?lo:float -> ?hi:float -> int -> t
     default range (defaults [0., 1.]).
     @raise Invalid_argument if [n < 0] or [lo > hi]. *)
 
-val n_vars : t -> int
-
 val set_bounds : t -> int -> lo:float -> hi:float -> unit
 (** Override the bounds of one variable. *)
 
@@ -61,14 +59,6 @@ val component_partition : t -> int list list
     nothing).  Each component is sorted ascending, components ordered by
     smallest variable — the merge order of the decomposed {!solve}. *)
 
-val margin : t -> float array -> float option
-(** [margin t a] is the smallest constraint slack of [a]: the largest delta
-    at which [a] still verifies ([verify t ~delta:m a] holds whenever
-    [m <= margin]).  [None] when [a] is invalid independently of delta
-    (wrong length, non-finite, out of bounds).  Feeds warm starts: a
-    previous witness with margin [m] lets {!find_max_delta} open its binary
-    search at [lo = m]. *)
-
 type violation =
   | Length_mismatch of int  (** Assignment length (problem size expected). *)
   | Not_finite of int  (** Variable holding NaN or an infinity. *)
@@ -77,8 +67,6 @@ type violation =
       (** [(i, j, offset)] with [|x_i + offset - x_j| < delta]. *)
   | Forbidden_violated of int * float
       (** [(i, center)] with [x_i] inside the forbidden interval. *)
-
-val pp_violation : Format.formatter -> violation -> unit
 
 val violations : t -> delta:float -> float array -> violation list
 (** Every constraint the assignment breaks at the given [delta], in a
@@ -100,24 +88,12 @@ val find_max_delta_count : unit -> int
     search).  Atomic, so safe to read while pool domains solve; the compiler's
     pass instrumentation reports per-pass deltas of this counter. *)
 
-val reset_find_max_delta_count : unit -> unit
-(** Zero the {!find_max_delta_count} counter (tests, cold-cost measurements). *)
-
 val find_max_delta :
-  ?order:int list -> ?tolerance:float -> ?delta_hi:float -> ?warm:float array ->
-  t -> (float * float array) option
+  ?order:int list -> ?tolerance:float -> ?delta_hi:float -> t -> (float * float array) option
 (** Binary search for the maximum feasible [delta] (within [tolerance],
     default [1e-4]); returns the witness assignment found at that [delta].
     [None] when even [delta = 0] is infeasible.  [delta_hi] bounds the search
     from above (defaults to the widest variable range).
-
-    [warm] seeds the search with a previous witness: when it has positive
-    {!margin} [m] (and is monotone along [order], if given) the delta = 0
-    probe is skipped and the search opens at [lo = m], typically saving most
-    of the feasible-side probes.  An invalid seed silently falls back to the
-    cold path, so warm starting never changes feasibility — and because the
-    ordered search only restricts the problem, a warm result can never beat
-    the cold unordered maximum by more than [tolerance].
 
     One search covers the whole problem: without [order] every probe is the
     decomposed {!solve}, so on a multi-component problem the result is the

@@ -73,10 +73,6 @@ val mapi_array : ?pool:t -> ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b arr
 (** Parallel [Array.mapi]; the index identifies the cell (drivers derive
     per-cell RNG seeds from it). *)
 
-val iter_array : ?pool:t -> ?jobs:int -> ('a -> unit) -> 'a array -> unit
-(** Parallel [Array.iter] (effects only; no ordering guarantee between
-    cells, which is why drivers compute in [map] and print afterwards). *)
-
 val map : ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] with deterministic ordering. *)
 

@@ -15,10 +15,6 @@ type load_result =
           version; it has been renamed to [path ^ ".corrupt"] and the reason
           is given.  Boot cold. *)
 
-val format_version : int
-(** Version of the envelope itself (distinct from the caller's payload
-    [~version]). *)
-
 val fnv64 : string -> string
 (** FNV-1a 64-bit hash as 16 hex digits — the snapshot checksum (exposed
     for tests). *)

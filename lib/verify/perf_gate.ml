@@ -12,8 +12,8 @@ let contains_sub ~sub s =
 
 (* Classification is by key name alone, so the gate needs no schema knowledge
    of individual experiments: benchmark JSON in this repo spells wall-clock
-   fields with an explicit unit token (ms_jobs1, warm_ms, ns_per_gate_flat,
-   seconds, trials_per_sec) and everything else it emits — counters, deltas,
+   fields with an explicit unit token (ms_jobs1, ns_per_gate_flat, seconds,
+   trials_per_sec) and everything else it emits — counters, deltas,
    fidelities, labels — is deterministic at any FASTSC_JOBS and must match the
    baseline exactly. *)
 let classify key =

@@ -227,29 +227,6 @@ let prop_all_algorithms_all_seeds =
         (fun algorithm -> Result.is_ok (Schedule.check (Compile.run algorithm d circuit)))
         Compile.all_algorithms)
 
-let test_warm_decomposed_schedules_valid () =
-  (* the opt-in warm-start / per-component allocation paths must still emit
-     valid schedules, and their stats must account for every moment *)
-  let d = device () in
-  let circuit = parallel_heavy () in
-  List.iter
-    (fun (warm_start, decompose) ->
-      let s, stats = Color_dynamic.run ~warm_start ~decompose d circuit in
-      (match Schedule.check s with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "warm=%b decompose=%b: %s" warm_start decompose msg);
-      check_true "components tracked" (stats.Color_dynamic.components > 0);
-      check_true "solves paid" (stats.Color_dynamic.component_solves > 0);
-      check_true "histogram rendered" (stats.Color_dynamic.component_sizes <> "");
-      if warm_start && not decompose then
-        check_true "warm attempts counted"
-          (stats.Color_dynamic.warm_hits + stats.Color_dynamic.warm_misses > 0))
-    [ (true, false); (false, true); (true, true) ];
-  (* the defaults leave the paper-mode schedule bit-identical *)
-  let reference, _ = Color_dynamic.run d circuit in
-  let explicit, _ = Color_dynamic.run ~warm_start:false ~decompose:false d circuit in
-  check_true "defaults unchanged" (reference = explicit)
-
 let suite =
   [
     Alcotest.test_case "all algorithms valid on bv" `Quick test_all_algorithms_valid_bv;
@@ -269,7 +246,5 @@ let suite =
     Alcotest.test_case "registry names and aliases" `Quick test_registry_names_and_aliases;
     Alcotest.test_case "decomposition strategies" `Quick test_decomposition_strategies_compile;
     Alcotest.test_case "identity placement" `Quick test_identity_placement_option;
-    Alcotest.test_case "warm/decomposed schedules valid" `Quick
-      test_warm_decomposed_schedules_valid;
     prop_all_algorithms_all_seeds;
   ]

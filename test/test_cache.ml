@@ -100,41 +100,6 @@ let test_solver_cache_size_bound () =
   let refilled = Freq_alloc.solver_cache_stats () in
   check_int "the evicted key recomputes as a miss" (bound + 2) refilled.Freq_alloc.misses
 
-let test_solver_warm_bypasses_cache () =
-  (* warm solves depend on the seed, not just the key, so they must neither
-     read nor write the memo table — cached values stay pure functions of
-     the key (the any-jobs determinism contract) *)
-  let d = device () in
-  Freq_alloc.reset_solver_cache ();
-  let cold = Freq_alloc.interaction d ~n_colors:2 ~multiplicity:[| 1; 2 |] in
-  let s1 = Freq_alloc.solver_cache_stats () in
-  check_int "cold solve missed once" 1 s1.Freq_alloc.misses;
-  check_int "cold solve stored" 1 s1.Freq_alloc.entries;
-  check_int "no warm traffic yet" 0 (s1.Freq_alloc.warm_hits + s1.Freq_alloc.warm_misses);
-  let warm_used = ref false in
-  let warm =
-    Freq_alloc.interaction d ~warm:cold.Freq_alloc.freqs ~warm_used ~n_colors:2
-      ~multiplicity:[| 1; 2 |]
-  in
-  let s2 = Freq_alloc.solver_cache_stats () in
-  check_int "warm solve neither hits" s1.Freq_alloc.hits s2.Freq_alloc.hits;
-  check_int "nor misses" s1.Freq_alloc.misses s2.Freq_alloc.misses;
-  check_int "nor stores" s1.Freq_alloc.entries s2.Freq_alloc.entries;
-  check_int "usable seed counted as a warm hit" 1 s2.Freq_alloc.warm_hits;
-  check_true "per-call channel reports the hit" !warm_used;
-  check_true "warm delta within tolerance of cold"
-    (Float.abs (warm.Freq_alloc.delta -. cold.Freq_alloc.delta) <= 2e-4);
-  (* the cached entry is untouched: the same key without a seed still hits *)
-  ignore (Freq_alloc.interaction d ~n_colors:2 ~multiplicity:[| 1; 2 |]);
-  let s3 = Freq_alloc.solver_cache_stats () in
-  check_int "cached path unaffected by the warm solve" (s1.Freq_alloc.hits + 1) s3.Freq_alloc.hits;
-  (* a length-mismatched seed is not a warm attempt: it uses the cache *)
-  ignore (Freq_alloc.interaction d ~warm:[| 5.0 |] ~n_colors:2 ~multiplicity:[| 1; 2 |]);
-  let s4 = Freq_alloc.solver_cache_stats () in
-  check_int "mismatched seed falls back to the cache" (s3.Freq_alloc.hits + 1) s4.Freq_alloc.hits;
-  check_int "and is not counted as warm traffic" 1
-    (s4.Freq_alloc.warm_hits + s4.Freq_alloc.warm_misses)
-
 (* -- Crosstalk pair cache -------------------------------------------------- *)
 
 let pair ?(omega_b = 5.6) () =
@@ -193,7 +158,6 @@ let suite =
       test_solver_key_discriminates_alpha;
     Alcotest.test_case "solver copy-on-hit" `Quick test_solver_copy_on_hit;
     Alcotest.test_case "solver cache size bound" `Quick test_solver_cache_size_bound;
-    Alcotest.test_case "solver warm bypasses cache" `Quick test_solver_warm_bypasses_cache;
     Alcotest.test_case "pair hit/miss counting" `Quick test_pair_hit_miss_counting;
     Alcotest.test_case "pair cache size bound" `Quick test_pair_cache_survives_size_bound;
   ]

@@ -141,21 +141,23 @@ let test_compile_trace () =
   check_true "metrics included" (contains text "\"log10_success\"")
 
 let test_compile_trace_components () =
-  let code, text =
-    run_capture "compile --bench xeb --size 9 --algorithm cd --trace --warm-start --decompose"
-  in
+  let code, text = run_capture "compile --bench xeb --size 9 --algorithm cd --trace" in
   check_int "exit 0" 0 code;
-  (* per-component solver statistics travel in the scheduler's pass report *)
+  (* per-moment crosstalk component statistics travel in the scheduler's
+     pass report *)
   List.iter
     (fun field -> check_true ("trace reports " ^ field) (contains text ("\"" ^ field ^ "\"")))
-    [
-      "components";
-      "component_max_size";
-      "component_sizes";
-      "component_solves";
-      "warm_hits";
-      "warm_misses";
-    ]
+    [ "components"; "component_max_size"; "component_sizes"; "component_solves" ]
+
+(* compile has one frequency-allocation path and makes no pool call: the
+   retired switches and the job count are usage errors there *)
+let test_compile_rejects_retired_flags () =
+  List.iter
+    (fun flag ->
+      let code, text = run_capture ("compile --bench bv --size 4 " ^ flag) in
+      check_int (flag ^ ": cmdliner usage error") 124 code;
+      check_true (flag ^ ": names the option") (contains text "unknown option"))
+    [ "--warm-start"; "--decompose"; "-j 2"; "--jobs 2" ]
 
 let bench_binary = Filename.concat (Filename.concat ".." "bench") "main.exe"
 
@@ -196,5 +198,6 @@ let suite =
     Alcotest.test_case "unknown algorithm exit 2" `Quick test_unknown_algorithm_exit_2;
     Alcotest.test_case "compile --trace" `Quick test_compile_trace;
     Alcotest.test_case "compile --trace component stats" `Quick test_compile_trace_components;
+    Alcotest.test_case "compile rejects retired flags" `Quick test_compile_rejects_retired_flags;
     Alcotest.test_case "bench smt-scale unknown topology" `Quick test_bench_smt_scale_bad_topology;
   ]

@@ -84,10 +84,10 @@ let test_smt_aborts_on_expired_budget () =
   in
   check_true "expired budget aborts the solve via Expired" aborted
 
-(* Decomposed allocation solves each component of a moment on its own; every
-   one of those solves must still see the caller's budget, at any pool size.
-   Cold caches make sure the solver actually runs (a memo hit never polls). *)
-let test_decomposed_allocation_honours_deadline () =
+(* Every frequency solve of a ColorDynamic moment must see the caller's
+   budget.  Cold caches make sure the solver actually runs (a memo hit never
+   polls). *)
+let test_allocation_honours_deadline () =
   let open Fastsc_core in
   let device = Fastsc_device.Device.create ~seed:7 (Topology.grid 5 5) in
   (* two moments of far-apart couplings: each splits into two components *)
@@ -103,24 +103,21 @@ let test_decomposed_allocation_honours_deadline () =
     Freq_alloc.reset_solver_cache ();
     Fastsc_noise.Crosstalk.reset_pair_cache ()
   in
-  let jobs = Pool.default_jobs () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs jobs)
-    (fun () ->
-      Pool.set_default_jobs 2;
-      cold ();
-      let _, stats = Color_dynamic.run ~decompose:true device circuit in
-      check_true "moments split into several components"
-        (stats.Color_dynamic.components > stats.Color_dynamic.cycles);
-      cold ();
-      let z = Deadline.after_ms ~label:"decomposed budget" 0.0 in
-      let aborted =
-        Deadline.with_deadline z (fun () ->
-            match Color_dynamic.run ~decompose:true device circuit with
-            | _ -> false
-            | exception Deadline.Expired _ -> true)
-      in
-      check_true "expired budget aborts decomposed allocation" aborted)
+  cold ();
+  let _, stats = Color_dynamic.run device circuit in
+  check_true "moments split into several components"
+    (stats.Color_dynamic.components > stats.Color_dynamic.cycles);
+  check_true "one solve per moment with active couplings"
+    (stats.Color_dynamic.component_solves <= stats.Color_dynamic.cycles);
+  cold ();
+  let z = Deadline.after_ms ~label:"allocation budget" 0.0 in
+  let aborted =
+    Deadline.with_deadline z (fun () ->
+        match Color_dynamic.run device circuit with
+        | _ -> false
+        | exception Deadline.Expired _ -> true)
+  in
+  check_true "expired budget aborts frequency allocation" aborted
 
 let suite =
   [
@@ -131,6 +128,5 @@ let suite =
     Alcotest.test_case "nesting tightens" `Quick test_nesting_tightens;
     Alcotest.test_case "smt aborts on expired budget" `Quick
       test_smt_aborts_on_expired_budget;
-    Alcotest.test_case "decomposed allocation honours deadline" `Quick
-      test_decomposed_allocation_honours_deadline;
+    Alcotest.test_case "allocation honours deadline" `Quick test_allocation_honours_deadline;
   ]

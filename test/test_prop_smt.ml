@@ -104,7 +104,7 @@ let prop_verify_rejects_corrupted =
                (the move may also leave the bounds; either way, a violation) *)
             not (Smt.verify t ~delta:s.delta corrupted)))
 
-(* -- decomposition and warm-start properties ------------------------------- *)
+(* -- decomposition properties ------------------------------------------------ *)
 
 (* Sparser instances than [gen_spec]: up to 10 variables with only ~n random
    separations, so the constraint graph routinely splits into several
@@ -173,19 +173,6 @@ let prop_max_delta_min_merge =
         in
         Smt.verify t ~delta w && Float.abs (delta -. expected) <= 3e-5)
 
-let prop_warm_never_beats_cold =
-  prop_case "warm-started search verifies and never beats cold" sparse_arb (fun s ->
-      let t = build s in
-      match Smt.find_max_delta ~tolerance:1e-5 t with
-      | None -> true
-      | Some (dc, wc) -> (
-        (* seeding with the cold witness never changes feasibility, and both
-           searches land within tolerance of the same maximum *)
-        match Smt.find_max_delta ~tolerance:1e-5 ~warm:wc t with
-        | None -> false
-        | Some (dw, ww) ->
-          Smt.verify t ~delta:dw ww && Float.abs (dw -. dc) <= 3e-5))
-
 let test_violations_reporting () =
   let t = Smt.create ~lo:0.0 ~hi:1.0 2 in
   Smt.add_separation t 0 1;
@@ -210,6 +197,5 @@ let suite =
     prop_verify_rejects_nan;
     prop_verify_rejects_corrupted;
     prop_max_delta_min_merge;
-    prop_warm_never_beats_cold;
     Alcotest.test_case "violations reporting" `Quick test_violations_reporting;
   ]

@@ -16,6 +16,8 @@ let rejects line =
   | _ -> false
   | exception Protocol.Bad_request _ -> true
 
+let rejection line = match parse line with _ -> None | exception Protocol.Bad_request m -> Some m
+
 let test_request_defaults () =
   let req = parse {|{"id":"r1"}|} in
   check_true "id" (req.Protocol.id = "r1");
@@ -25,7 +27,7 @@ let test_request_defaults () =
   check_int "seed default" 2020 req.Protocol.seed;
   check_true "algorithm default" (req.Protocol.algorithm = "color-dynamic");
   check_true "no deadline by default" (req.Protocol.deadline_ms = None);
-  check_true "options default off"
+  check_true "retired switches off"
     ((not req.Protocol.warm_start) && not req.Protocol.decompose_components);
   check_int "crosstalk distance default" 1 req.Protocol.crosstalk_distance
 
@@ -33,13 +35,23 @@ let test_request_fields () =
   let req =
     parse
       {|{"id":"r2","bench":"qaoa","n":12,"topology":"ring","seed":7,
-         "algorithm":"static","deadline_ms":250,"warm_start":true,
-         "decompose_components":true,"crosstalk_distance":2}|}
+         "algorithm":"static","deadline_ms":250,"warm_start":false,
+         "decompose_components":false,"crosstalk_distance":2}|}
   in
   check_true "bench" (req.Protocol.bench = "qaoa");
   check_int "n" 12 req.Protocol.n;
   check_true "deadline accepted as int" (req.Protocol.deadline_ms = Some 250.0);
-  check_true "flags" (req.Protocol.warm_start && req.Protocol.decompose_components)
+  check_int "crosstalk distance" 2 req.Protocol.crosstalk_distance;
+  check_true "retired switches accepted when false"
+    ((not req.Protocol.warm_start) && not req.Protocol.decompose_components);
+  (* the single allocation path cannot honour either switch: refuse, naming it *)
+  List.iter
+    (fun field ->
+      match rejection (Printf.sprintf {|{"id":"r3","%s":true}|} field) with
+      | Some msg -> check_true ("refusal names " ^ field) (contains msg field)
+      | None -> Alcotest.failf "%s = true was accepted" field)
+    [ "warm_start"; "decompose_components" ];
+  check_true "mistyped retired switch" (rejects {|{"id":"r4","warm_start":1}|})
 
 let test_request_rejections () =
   check_true "invalid JSON" (rejects "{nope");
@@ -141,24 +153,18 @@ let test_ladder_deadline_zero_degrades_to_greedy () =
   let b = ok_body (Ladder.compile (small_request ~deadline_ms:0.0 ~seed:31 ())) in
   check_true "tier greedy" (b.Protocol.tier = "greedy");
   check_true "greedy algorithm reported" (b.Protocol.algorithm = "greedy-spread");
-  check_int "three rungs failed first" 3 b.Protocol.retries;
+  check_int "two rungs failed first" 2 b.Protocol.retries;
   let trail =
     List.map (fun a -> (a.Protocol.a_tier, a.Protocol.a_outcome)) b.Protocol.attempts
   in
   check_true "full trail recorded"
-    (trail
-    = [
-        ("full", "expired");
-        ("decomposed-warm", "expired");
-        ("stale", "miss");
-        ("greedy", "ok");
-      ])
+    (trail = [ ("full", "expired"); ("stale", "miss"); ("greedy", "ok") ])
 
 let test_ladder_stale_hit () =
   Ladder.reset_stale_cache ();
   (* prime: an unbudgeted compile stores its witness under the cache key *)
   let warm = ok_body (Ladder.compile (small_request ~seed:47 ())) in
-  (* identical problem, zero budget: both SMT rungs expire, the stale rung
+  (* identical problem, zero budget: the full rung expires, the stale rung
      returns the stored witness *)
   let b = ok_body (Ladder.compile (small_request ~deadline_ms:0.0 ~seed:47 ())) in
   check_true "tier stale" (b.Protocol.tier = "stale");

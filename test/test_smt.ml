@@ -171,7 +171,7 @@ let test_resolver_separation_chain_exact () =
     check_float ~eps:0.0 "x1 pushed one delta up" 6.0 xs.(1);
     check_float ~eps:0.0 "x2 pushed through both intervals" 7.0 xs.(2)
 
-(* -- component decomposition and warm starts --------------------------------- *)
+(* -- component decomposition ---------------------------------------------------- *)
 
 let two_component_problem () =
   (* vars 0-1: a pair in [0,1]; vars 2-4: a triangle in [0,1] *)
@@ -190,18 +190,6 @@ let test_component_partition () =
   Fastsc_smt.Smt.add_separation sparse 0 2;
   check_true "unconstrained vars are singleton components"
     (Fastsc_smt.Smt.component_partition sparse = [ [ 0; 2 ]; [ 1 ] ])
-
-let test_margin () =
-  let t = solver_feasible () in
-  (match Fastsc_smt.Smt.margin t [| 5.0; 6.0; 7.0 |] with
-  | Some m -> check_float ~eps:1e-12 "margin is the smallest slack" 1.0 m
-  | None -> Alcotest.fail "valid assignment has a margin");
-  check_true "wrong length has no margin" (Fastsc_smt.Smt.margin t [| 5.0 |] = None);
-  check_true "nan has no margin" (Fastsc_smt.Smt.margin t [| nan; 6.0; 7.0 |] = None);
-  check_true "out of bounds has no margin" (Fastsc_smt.Smt.margin t [| 4.0; 6.0; 7.0 |] = None);
-  (* the margin is exactly the largest delta at which the witness verifies *)
-  check_true "verifies at the margin" (Fastsc_smt.Smt.verify t ~delta:1.0 [| 5.0; 6.0; 7.0 |]);
-  check_true "fails just above it" (not (Fastsc_smt.Smt.verify t ~delta:1.01 [| 5.0; 6.0; 7.0 |]))
 
 let test_find_max_delta_min_merge () =
   let t = two_component_problem () in
@@ -225,18 +213,6 @@ let test_find_max_delta_min_merge () =
     check_float ~eps:1e-4 "delta is the min over components" 0.5 delta;
     check_true "witness verifies" (Fastsc_smt.Smt.verify t ~delta w)
 
-let test_warm_seeding () =
-  let t = solver_feasible () in
-  let dc, wc = Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 t) in
-  let dw, ww = Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 ~warm:wc t) in
-  check_true "warm witness verifies" (Fastsc_smt.Smt.verify t ~delta:dw ww);
-  check_true "warm result within tolerance of cold" (Float.abs (dw -. dc) <= 1e-5);
-  (* an invalid seed silently falls back to the cold path *)
-  let df, _ =
-    Option.get (Fastsc_smt.Smt.find_max_delta ~tolerance:1e-6 ~warm:[| nan; nan; nan |] t)
-  in
-  check_float ~eps:0.0 "garbage seed reproduces the cold result" dc df
-
 let suite =
   [
     Alcotest.test_case "solve simple" `Quick test_solve_simple;
@@ -255,9 +231,7 @@ let suite =
     Alcotest.test_case "zero vars" `Quick test_zero_vars;
     Alcotest.test_case "unordered backtracking" `Quick test_unordered_search_backtracks;
     Alcotest.test_case "component partition" `Quick test_component_partition;
-    Alcotest.test_case "margin" `Quick test_margin;
     Alcotest.test_case "decomposed max delta min-merge" `Quick test_find_max_delta_min_merge;
-    Alcotest.test_case "warm seeding" `Quick test_warm_seeding;
     prop_max_delta_scales_inverse;
     prop_witness_always_checks;
   ]

@@ -75,7 +75,7 @@ let test_per_pass_fields () =
       let solver = field "solver_cache" entry in
       List.iter
         (fun k -> check_true (k ^ " non-negative") (as_int k solver >= 0))
-        [ "hits"; "misses"; "warm_hits"; "warm_misses" ];
+        [ "hits"; "misses" ];
       let pair = field "pair_cache" entry in
       List.iter
         (fun k -> check_true (k ^ " non-negative") (as_int k pair >= 0))
@@ -100,7 +100,7 @@ let test_counter_invariants () =
         (Printf.sprintf "solver %s deltas sum to the final total" k)
         (as_int k solver)
         (sum (fun entry -> as_int k (field "solver_cache" entry))))
-    [ "hits"; "misses"; "warm_hits"; "warm_misses" ];
+    [ "hits"; "misses" ];
   check_true "solver entries reported" (as_int "entries" solver >= 0);
   let pair = field "pair" caches in
   List.iter
